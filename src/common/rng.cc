@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/logging.h"
+
 namespace mdbs {
 
 namespace {
@@ -68,7 +70,10 @@ double Rng::NextExponential(double mean) {
 Rng Rng::Fork() { return Rng(Next()); }
 
 ZipfGenerator::ZipfGenerator(uint64_t n, double theta) : n_(n), theta_(theta) {
-  assert(n > 0);
+  MDBS_CHECK(n > 0) << "Zipf over an empty item range";
+  // Uniform draws are NextBelow(n) and read none of the constants below,
+  // so skip the O(n) zeta sum: workloads build one generator per txn.
+  if (theta == 0.0) return;
   zetan_ = Zeta(n, theta);
   alpha_ = 1.0 / (1.0 - theta);
   double zeta2 = Zeta(2, theta);

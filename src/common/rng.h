@@ -52,7 +52,9 @@ class Rng {
 };
 
 /// Zipf(theta) sampler over {0, ..., n-1} using the classic Gray et al.
-/// rejection-free method with precomputed constants. theta = 0 is uniform.
+/// rejection-free method with precomputed constants. theta = 0 is uniform:
+/// Next(rng) is exactly rng->NextBelow(n), and construction is O(1).
+/// theta > 0 precomputes an O(n) zeta sum. `n` must be > 0.
 class ZipfGenerator {
  public:
   ZipfGenerator(uint64_t n, double theta);
@@ -67,9 +69,10 @@ class ZipfGenerator {
 
   uint64_t n_;
   double theta_;
-  double alpha_;
-  double zetan_;
-  double eta_;
+  // Unused (left zero) when theta == 0.
+  double alpha_ = 0;
+  double zetan_ = 0;
+  double eta_ = 0;
 };
 
 }  // namespace mdbs

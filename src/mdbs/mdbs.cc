@@ -371,19 +371,26 @@ void Mdbs::StopStrands() {
 }
 
 Status Mdbs::RunAuditOracle() {
+  oracle_verdicts_.reset();
   if (!audit_enabled_ || !config_.audit.run_oracle) return Status::OK();
+  auto verdicts = std::make_unique<OracleVerdicts>();
   Status first = Status::OK();
   auto report = [&](const char* invariant, const Status& status) {
     if (status.ok()) return;
     if (first.ok()) first = status;
     auditor_.Report(audit::AuditViolation{invariant, status.message(), {}});
   };
-  report("oracle-local-csr", CheckLocallySerializable());
-  report("oracle-ser-key", CheckSerializationKeyProperty());
-  report("oracle-strictness", CheckStrictness());
+  verdicts->local_csr = CheckLocallySerializable();
+  report("oracle-local-csr", verdicts->local_csr);
+  verdicts->ser_key = CheckSerializationKeyProperty();
+  report("oracle-ser-key", verdicts->ser_key);
+  verdicts->strictness = CheckStrictness();
+  report("oracle-strictness", verdicts->strictness);
   if (active_gtm_->gtm2().scheme().kind() != gtm::SchemeKind::kNone) {
-    report("oracle-global-csr", CheckGloballySerializable());
+    verdicts->global_csr = CheckGloballySerializable();
+    report("oracle-global-csr", *verdicts->global_csr);
   }
+  oracle_verdicts_ = std::move(verdicts);
   return first;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -188,7 +189,25 @@ class Mdbs : public gtm::SiteGateway {
   /// "oracle-global-csr"). Global CSR is skipped for SchemeKind::kNone —
   /// the no-control strawman violates it by design (paper §3). Returns the
   /// first failure (or OK) so callers without an auditor can assert on it.
+  /// Each check's verdict is kept in oracle_verdicts().
   Status RunAuditOracle();
+
+  /// Per-check verdicts of the last RunAuditOracle pass that ran the
+  /// checks. Global CSR is empty under SchemeKind::kNone, which the pass
+  /// skips. Work done after the pass makes the verdicts stale; callers
+  /// that print a run's verification read them instead of running the
+  /// checks a second time.
+  struct OracleVerdicts {
+    Status local_csr;
+    Status ser_key;
+    Status strictness;
+    std::optional<Status> global_csr;
+  };
+  /// nullptr before the first pass, and after a pass that ran no checks
+  /// because the audit or its oracle is off.
+  const OracleVerdicts* oracle_verdicts() const {
+    return oracle_verdicts_.get();
+  }
 
   bool audit_enabled() const { return audit_enabled_; }
   audit::Auditor& auditor() { return auditor_; }
@@ -266,6 +285,10 @@ class Mdbs : public gtm::SiteGateway {
   audit::Auditor auditor_;
   std::unique_ptr<obs::TraceSink> trace_;
   std::unique_ptr<obs::MetricsEngine> metrics_;
+  // Behind a pointer: an Mdbs is about 1 KB, at the edge of malloc's
+  // per-thread cache of small chunks, and construction slows measurably
+  // once the object outgrows it.
+  std::unique_ptr<OracleVerdicts> oracle_verdicts_;
   bool audit_enabled_ = false;
   bool threaded_ = false;
   sim::EventLoop loop_;

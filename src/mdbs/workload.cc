@@ -10,6 +10,8 @@ gtm::GlobalTxnSpec MakeGlobalTxn(const GlobalWorkloadConfig& config,
                                  const std::vector<SiteId>& sites,
                                  Rng* rng) {
   MDBS_CHECK(!sites.empty());
+  MDBS_CHECK(config.items_per_site >= 1)
+      << "items_per_site is " << config.items_per_site;
   int dav_hi = static_cast<int>(std::min<int64_t>(
       config.dav_max, static_cast<int64_t>(sites.size())));
   int dav_lo = std::min(config.dav_min, dav_hi);
@@ -64,6 +66,8 @@ gtm::GlobalTxnSpec MakeGlobalTxn(const GlobalWorkloadConfig& config,
 
 std::vector<DataOp> MakeLocalTxn(const LocalWorkloadConfig& config,
                                  Rng* rng) {
+  MDBS_CHECK(config.items_per_site >= 1)
+      << "items_per_site is " << config.items_per_site;
   int ops = static_cast<int>(rng->NextInRange(config.ops_min, config.ops_max));
   ZipfGenerator zipf(static_cast<uint64_t>(config.items_per_site),
                      config.zipf_theta);

@@ -2,16 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 
 namespace mdbs::sched {
-
-namespace {
-const std::unordered_set<int64_t>& EmptySet() {
-  static const std::unordered_set<int64_t>& empty =
-      *new std::unordered_set<int64_t>();
-  return empty;
-}
-}  // namespace
 
 void UndirectedMultigraph::AddNode(int64_t node) {
   if (incidence_.try_emplace(node).second) nodes_.push_back(node);
@@ -133,91 +126,124 @@ std::optional<std::vector<size_t>> UndirectedMultigraph::FindCycleThrough(
   return std::nullopt;
 }
 
-void DirectedGraph::AddNode(int64_t node) { adj_.try_emplace(node); }
+uint32_t DirectedGraph::Intern(int64_t node) {
+  auto [it, inserted] =
+      index_.try_emplace(node, static_cast<uint32_t>(keys_.size()));
+  if (inserted) {
+    keys_.push_back(node);
+    compact_ = false;  // offsets_ needs a row for the new node
+  }
+  return it->second;
+}
 
 void DirectedGraph::AddEdge(int64_t from, int64_t to) {
-  AddNode(from);
-  AddNode(to);
-  if (adj_[from].insert(to).second) ++edge_count_;
+  uint32_t a = Intern(from);
+  uint32_t b = Intern(to);
+  edges_.emplace_back(a, b);
+  compact_ = false;
+}
+
+void DirectedGraph::Compact() const {
+  if (compact_) return;
+  // Counting sort by source node into CSR rows, then each (short) row is
+  // sorted and deduplicated and slid down over the duplicates removed.
+  offsets_.assign(keys_.size() + 1, 0);
+  for (const auto& edge : edges_) ++offsets_[edge.first + 1];
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  std::vector<std::pair<uint32_t, uint32_t>> rows(edges_.size());
+  std::vector<uint32_t> fill(offsets_.begin(), offsets_.end() - 1);
+  for (const auto& edge : edges_) rows[fill[edge.first]++] = edge;
+  auto out = rows.begin();
+  for (size_t node = 0; node < keys_.size(); ++node) {
+    auto begin = rows.begin() + offsets_[node];
+    auto end = rows.begin() + offsets_[node + 1];
+    std::sort(begin, end);
+    offsets_[node] = static_cast<uint32_t>(out - rows.begin());
+    out = std::move(begin, std::unique(begin, end), out);
+  }
+  offsets_.back() = static_cast<uint32_t>(out - rows.begin());
+  rows.erase(out, rows.end());
+  edges_ = std::move(rows);
+  compact_ = true;
 }
 
 bool DirectedGraph::HasEdge(int64_t from, int64_t to) const {
-  auto it = adj_.find(from);
-  return it != adj_.end() && it->second.contains(to);
+  auto a = index_.find(from);
+  auto b = index_.find(to);
+  if (a == index_.end() || b == index_.end()) return false;
+  Compact();
+  return std::binary_search(edges_.begin() + RowBegin(a->second),
+                            edges_.begin() + RowEnd(a->second),
+                            std::make_pair(a->second, b->second));
 }
 
-const std::unordered_set<int64_t>& DirectedGraph::Successors(
-    int64_t node) const {
-  auto it = adj_.find(node);
-  return it == adj_.end() ? EmptySet() : it->second;
+size_t DirectedGraph::EdgeCount() const {
+  Compact();
+  return edges_.size();
 }
 
 bool DirectedGraph::HasCycle() const { return FindCycle().has_value(); }
 
 std::optional<std::vector<int64_t>> DirectedGraph::FindCycle() const {
-  // Iterative three-color DFS keeping the current path for cycle extraction.
-  enum class Color { kWhite, kGray, kBlack };
-  std::unordered_map<int64_t, Color> color;
-  for (const auto& [node, _] : adj_) color[node] = Color::kWhite;
-
-  for (const auto& [start, _] : adj_) {
-    if (color[start] != Color::kWhite) continue;
-    // Stack frames: (node, iterator position over successors).
-    std::vector<std::pair<int64_t, std::vector<int64_t>>> stack;
-    std::vector<int64_t> path;
-    auto push = [&](int64_t node) {
-      const auto& succ = Successors(node);
-      stack.emplace_back(node,
-                         std::vector<int64_t>(succ.begin(), succ.end()));
-      path.push_back(node);
-      color[node] = Color::kGray;
-    };
-    push(start);
+  Compact();
+  // Iterative three-color DFS. A frame is (node, next edge of its row); the
+  // gray nodes are exactly the frames on the stack, i.e. the current path.
+  enum Color : uint8_t { kWhite, kGray, kBlack };
+  std::vector<uint8_t> color(keys_.size(), kWhite);
+  std::vector<std::pair<uint32_t, uint32_t>> stack;
+  for (uint32_t start = 0; start < keys_.size(); ++start) {
+    if (color[start] != kWhite) continue;
+    color[start] = kGray;
+    stack.emplace_back(start, RowBegin(start));
     while (!stack.empty()) {
-      auto& [node, succs] = stack.back();
-      if (succs.empty()) {
-        color[node] = Color::kBlack;
+      auto [node, next] = stack.back();
+      if (next == RowEnd(node)) {
+        color[node] = kBlack;
         stack.pop_back();
-        path.pop_back();
         continue;
       }
-      int64_t next = succs.back();
-      succs.pop_back();
-      if (color[next] == Color::kGray) {
-        // Extract the cycle from the path.
+      ++stack.back().second;
+      uint32_t succ = edges_[next].second;
+      if (color[succ] == kGray) {
+        size_t first = stack.size() - 1;
+        while (stack[first].first != succ) --first;
         std::vector<int64_t> cycle;
-        auto it = std::find(path.begin(), path.end(), next);
-        cycle.assign(it, path.end());
-        cycle.push_back(next);
+        for (size_t i = first; i < stack.size(); ++i) {
+          cycle.push_back(keys_[stack[i].first]);
+        }
+        cycle.push_back(keys_[succ]);
         return cycle;
       }
-      if (color[next] == Color::kWhite) push(next);
+      if (color[succ] == kWhite) {
+        color[succ] = kGray;
+        stack.emplace_back(succ, RowBegin(succ));
+      }
     }
   }
   return std::nullopt;
 }
 
 std::optional<std::vector<int64_t>> DirectedGraph::TopologicalOrder() const {
-  std::unordered_map<int64_t, size_t> in_degree;
-  for (const auto& [node, _] : adj_) in_degree.try_emplace(node, 0);
-  for (const auto& [node, succs] : adj_) {
-    for (int64_t succ : succs) ++in_degree[succ];
-  }
-  std::vector<int64_t> ready;
-  for (const auto& [node, deg] : in_degree) {
-    if (deg == 0) ready.push_back(node);
+  Compact();
+  std::vector<uint32_t> in_degree(keys_.size(), 0);
+  for (const auto& [from, to] : edges_) ++in_degree[to];
+  std::vector<uint32_t> ready;
+  for (uint32_t node = 0; node < keys_.size(); ++node) {
+    if (in_degree[node] == 0) ready.push_back(node);
   }
   std::vector<int64_t> order;
-  order.reserve(adj_.size());
+  order.reserve(keys_.size());
   while (!ready.empty()) {
-    int64_t node = ready.back();
+    uint32_t node = ready.back();
     ready.pop_back();
-    order.push_back(node);
-    for (int64_t succ : Successors(node)) {
-      if (--in_degree[succ] == 0) ready.push_back(succ);
+    order.push_back(keys_[node]);
+    for (uint32_t e = RowBegin(node); e < RowEnd(node); ++e) {
+      if (--in_degree[edges_[e].second] == 0) {
+        ready.push_back(edges_[e].second);
+      }
     }
   }
-  if (order.size() != adj_.size()) return std::nullopt;
+  if (order.size() != keys_.size()) return std::nullopt;
   return order;
 }
 

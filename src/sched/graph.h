@@ -5,6 +5,7 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace mdbs::sched {
@@ -53,33 +54,52 @@ class UndirectedMultigraph {
   std::vector<LabeledEdge> edges_;
 };
 
-/// Small directed graph over int64 node keys with cycle detection and
+/// Directed graph over int64 node keys with cycle detection and
 /// topological ordering; used for serialization graphs of all flavors.
+///
+/// Flat layout: keys are interned to dense indices in first-seen order, and
+/// edges are appended to one vector of index pairs. The first query after
+/// an addition counting-sorts that vector by source and deduplicates it,
+/// which turns it into a CSR adjacency (row offsets per node into the
+/// sorted pairs). So a graph built in one go and then queried is compacted
+/// once, in O(edges), and the searches walk contiguous memory. Queries are
+/// const but compact lazily, so a graph must not be queried from two
+/// threads before its first query returned.
 class DirectedGraph {
  public:
-  void AddNode(int64_t node);
+  void AddNode(int64_t node) { Intern(node); }
   void AddEdge(int64_t from, int64_t to);
 
-  bool HasNode(int64_t node) const { return adj_.contains(node); }
+  bool HasNode(int64_t node) const { return index_.contains(node); }
   bool HasEdge(int64_t from, int64_t to) const;
 
-  size_t NodeCount() const { return adj_.size(); }
-  size_t EdgeCount() const { return edge_count_; }
+  size_t NodeCount() const { return keys_.size(); }
+  size_t EdgeCount() const;
 
   /// True iff the graph contains a directed cycle (self-loops count).
   bool HasCycle() const;
 
-  /// A cycle as a node sequence (first == last), if one exists.
+  /// A cycle as a node sequence (first == last), if one exists. Every
+  /// consecutive pair is an edge.
   std::optional<std::vector<int64_t>> FindCycle() const;
 
   /// Topological order; nullopt when cyclic.
   std::optional<std::vector<int64_t>> TopologicalOrder() const;
 
-  const std::unordered_set<int64_t>& Successors(int64_t node) const;
-
  private:
-  std::unordered_map<int64_t, std::unordered_set<int64_t>> adj_;
-  size_t edge_count_ = 0;
+  uint32_t Intern(int64_t node);
+  /// Sorts and deduplicates edges_ and rebuilds offsets_, if stale.
+  void Compact() const;
+  /// Successor rows: edges_[offsets_[n] .. offsets_[n + 1]) leave node n.
+  uint32_t RowBegin(uint32_t node) const { return offsets_[node]; }
+  uint32_t RowEnd(uint32_t node) const { return offsets_[node + 1]; }
+
+  std::unordered_map<int64_t, uint32_t> index_;
+  std::vector<int64_t> keys_;  // dense index -> key
+  // (from, to) dense-index pairs; sorted and unique while compact_.
+  mutable std::vector<std::pair<uint32_t, uint32_t>> edges_;
+  mutable std::vector<uint32_t> offsets_{0};
+  mutable bool compact_ = true;
 };
 
 }  // namespace mdbs::sched

@@ -1,9 +1,10 @@
 #include "sched/serializability.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
+#include <numeric>
+#include <span>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -12,149 +13,195 @@ namespace mdbs::sched {
 
 namespace {
 
-struct ItemAccess {
-  int64_t seq;
-  TxnId txn;
-  OpType type;
+/// One committed data access.
+struct Access {
+  int64_t site;
+  int64_t item;
+  const RecordedOp* op;
+  const TxnRecord* txn;  // committed
 };
 
-/// Committed accesses grouped per (site, item), in execution order.
-std::map<std::pair<int64_t, int64_t>, std::vector<ItemAccess>>
-GroupCommittedAccesses(const ScheduleRecorder& recorder,
-                       std::optional<SiteId> only_site) {
-  std::map<std::pair<int64_t, int64_t>, std::vector<ItemAccess>> groups;
-  for (const RecordedOp& op : recorder.ops()) {
-    if (only_site.has_value() && op.site != *only_site) continue;
-    const TxnRecord* record = recorder.FindTxn(op.txn);
-    if (record == nullptr || record->outcome != TxnOutcome::kCommitted) {
-      continue;
-    }
-    groups[{op.site.value(), op.op.item.value()}].push_back(
-        ItemAccess{op.seq, op.txn, op.op.type});
-  }
-  return groups;
+const TxnRecord* FindCommitted(const ScheduleRecorder& recorder, TxnId txn) {
+  const TxnRecord* record = recorder.FindTxn(txn);
+  return (record != nullptr && record->outcome == TxnOutcome::kCommitted)
+             ? record
+             : nullptr;
 }
 
-/// Adds conflict edges within each group. Instead of all O(k^2) conflicting
-/// pairs, the reduced set — last writer -> next access, readers since the
-/// last write -> next writer — is emitted; it has the same reachability
-/// relation as the full conflict graph (every omitted edge follows a chain
-/// of emitted ones), hence the same cycles, and any per-edge monotonicity
-/// over it extends to all conflict pairs by transitivity.
-void AddConflictEdges(
-    const std::map<std::pair<int64_t, int64_t>, std::vector<ItemAccess>>&
-        groups,
-    const std::function<int64_t(TxnId)>& node_key, DirectedGraph* graph) {
-  auto add_edge = [&](TxnId from_txn, TxnId to_txn) {
-    if (from_txn == to_txn) return;
-    int64_t from = node_key(from_txn);
-    int64_t to = node_key(to_txn);
-    if (from != to) graph->AddEdge(from, to);
-  };
-  for (const auto& [key, accesses] : groups) {
-    std::optional<TxnId> last_writer;
-    std::vector<TxnId> readers_since_write;
-    for (const ItemAccess& access : accesses) {
-      if (access.type == OpType::kRead) {
-        if (last_writer.has_value()) add_edge(*last_writer, access.txn);
-        readers_since_write.push_back(access.txn);
-        continue;
-      }
-      if (last_writer.has_value()) add_edge(*last_writer, access.txn);
-      for (TxnId reader : readers_since_write) add_edge(reader, access.txn);
-      readers_since_write.clear();
-      last_writer = access.txn;
-    }
+struct SiteItemHash {
+  size_t operator()(const std::pair<int64_t, int64_t>& key) const {
+    return static_cast<uint64_t>(key.first) * 0x9e3779b97f4a7c15ULL ^
+           static_cast<uint64_t>(key.second);
   }
+};
+
+/// Committed accesses at the sites `keep` accepts, as one flat vector
+/// grouped by (site, item), each group in execution order. It is a
+/// counting sort: groups are numbered in order of first access, and each
+/// access lands after the earlier ones of its group. The group index holds
+/// one entry per (site, item), so its lookups stay in cache.
+template <typename SiteFilter>
+std::vector<Access> GroupCommittedAccesses(const ScheduleRecorder& recorder,
+                                           SiteFilter keep) {
+  std::unordered_map<std::pair<int64_t, int64_t>, uint32_t, SiteItemHash>
+      group_index;
+  std::vector<uint32_t> group_start;  // counts, then first slots
+  std::vector<uint32_t> group_of;
+  std::vector<Access> in_order;
+  for (const RecordedOp& op : recorder.ops()) {
+    if (!keep(op.site)) continue;
+    const TxnRecord* record = FindCommitted(recorder, op.txn);
+    if (record == nullptr) continue;
+    Access access{op.site.value(), op.op.item.value(), &op, record};
+    auto [it, inserted] = group_index.try_emplace(
+        {access.site, access.item}, static_cast<uint32_t>(group_start.size()));
+    if (inserted) group_start.push_back(0);
+    ++group_start[it->second];
+    group_of.push_back(it->second);
+    in_order.push_back(access);
+  }
+  std::exclusive_scan(group_start.begin(), group_start.end(),
+                      group_start.begin(), 0u);
+  std::vector<Access> grouped(in_order.size());
+  for (size_t i = 0; i < in_order.size(); ++i) {
+    grouped[group_start[group_of[i]]++] = in_order[i];
+  }
+  return grouped;
+}
+
+auto AtSite(SiteId site) {
+  return [site](SiteId s) { return s == site; };
+}
+
+/// Calls `fn(group)` for each (site, item) group of `accesses`.
+template <typename Fn>
+void ForEachGroup(const std::vector<Access>& accesses, Fn fn) {
+  for (size_t begin = 0; begin < accesses.size();) {
+    const Access& first = accesses[begin];
+    size_t end = begin + 1;
+    while (end < accesses.size() && accesses[end].site == first.site &&
+           accesses[end].item == first.item) {
+      ++end;
+    }
+    fn(std::span<const Access>(accesses.data() + begin, end - begin));
+    begin = end;
+  }
+}
+
+/// Calls `emit(from, to)` for the conflict edges of one (site, item) group
+/// between distinct transactions. Instead of all O(k^2) conflicting pairs,
+/// the reduced set — last writer -> next access, readers since the last
+/// write -> next writer — is emitted; it has the same reachability relation
+/// as the full conflict graph (every omitted edge follows a chain of
+/// emitted ones), hence the same cycles, and any per-edge monotonicity
+/// over it extends to all conflict pairs by transitivity.
+template <typename Emit>
+void ConflictEdges(std::span<const Access> group, Emit emit) {
+  const TxnRecord* last_writer = nullptr;
+  size_t reads_begin = 0;  // The reads since the last write start here.
+  for (size_t i = 0; i < group.size(); ++i) {
+    const TxnRecord* txn = group[i].txn;
+    auto edge = [&](const TxnRecord* from) {
+      if (from != txn) emit(*from, *txn);
+    };
+    if (last_writer != nullptr) edge(last_writer);
+    if (group[i].op->op.type == OpType::kRead) continue;
+    for (size_t r = reads_begin; r < i; ++r) edge(group[r].txn);
+    reads_begin = i + 1;
+    last_writer = txn;
+  }
+}
+
+/// One version of an item at a multiversion site: its writer and the
+/// writer's serialization key (timestamp), which orders the versions.
+struct Version {
+  int64_t key;
+  const TxnRecord* writer;
+  auto operator<=>(const Version&) const = default;
+};
+
+/// Calls `emit(from, to)` for the multiversion serialization-graph edges of
+/// one (site, item) group: version order, reads-from, and reader before the
+/// version after the one it read. `versions` is scratch space.
+template <typename Emit>
+void MvsgEdges(const ScheduleRecorder& recorder, std::span<const Access> group,
+               std::vector<Version>* versions, Emit emit) {
+  auto edge = [&](const TxnRecord* from, const TxnRecord* to) {
+    if (from != to) emit(*from, *to);
+  };
+  versions->clear();
+  for (const Access& access : group) {
+    if (access.op->op.type != OpType::kWrite) continue;
+    MDBS_CHECK(access.txn->serialization_key.has_value())
+        << "multiversion site writer without a timestamp";
+    versions->push_back(Version{*access.txn->serialization_key, access.txn});
+  }
+  // A writer that wrote the item twice made one version.
+  std::sort(versions->begin(), versions->end());
+  versions->erase(std::unique(versions->begin(), versions->end()),
+                  versions->end());
+  for (size_t i = 1; i < versions->size(); ++i) {
+    edge((*versions)[i - 1].writer, (*versions)[i].writer);
+  }
+
+  for (const Access& access : group) {
+    if (access.op->op.type != OpType::kRead) continue;
+    // Successor version after the one read (initial version = before all).
+    auto successor = versions->begin();
+    if (access.op->read_from.valid()) {
+      const TxnRecord* writer = recorder.FindTxn(access.op->read_from);
+      if (writer == nullptr) continue;
+      edge(writer, access.txn);  // Reads-from.
+      // An uncommitted writer's version constrains nothing.
+      if (writer->outcome != TxnOutcome::kCommitted) continue;
+      successor = std::upper_bound(
+          versions->begin(), versions->end(),
+          writer->serialization_key.value_or(-1),
+          [](int64_t key, const Version& v) { return key < v.key; });
+    }
+    if (successor != versions->end()) edge(access.txn, successor->writer);
+  }
+}
+
+int64_t LocalNodeKey(const TxnRecord& record) { return record.txn.value(); }
+
+bool AllSites(SiteId) { return true; }
+
+/// The graph over the committed accesses at the sites `keep` accepts:
+/// conflict edges at single-version sites, MVSG edges at `mv_sites`, with
+/// transactions mapped to nodes by `node_key`. Its nodes are all the
+/// accessing transactions, so those without conflicts count too.
+template <typename SiteFilter, typename NodeKey>
+DirectedGraph BuildGraph(const ScheduleRecorder& recorder, SiteFilter keep,
+                         NodeKey node_key,
+                         const std::vector<SiteId>& mv_sites) {
+  DirectedGraph graph;
+  std::vector<Access> accesses = GroupCommittedAccesses(recorder, keep);
+  for (const Access& access : accesses) graph.AddNode(node_key(*access.txn));
+  auto add_edge = [&](const TxnRecord& from, const TxnRecord& to) {
+    int64_t a = node_key(from);
+    int64_t b = node_key(to);
+    if (a != b) graph.AddEdge(a, b);
+  };
+  std::vector<Version> versions;
+  ForEachGroup(accesses, [&](std::span<const Access> group) {
+    SiteId site(group.front().site);
+    if (std::find(mv_sites.begin(), mv_sites.end(), site) != mv_sites.end()) {
+      MvsgEdges(recorder, group, &versions, add_edge);
+    } else {
+      ConflictEdges(group, add_edge);
+    }
+  });
+  return graph;
 }
 
 SerializabilityResult CheckGraph(const DirectedGraph& graph) {
   SerializabilityResult result;
-  result.nodes = graph.NodeCount();
-  result.edges = graph.EdgeCount();
   result.cycle = graph.FindCycle();
   result.serializable = !result.cycle.has_value();
+  result.nodes = graph.NodeCount();
+  result.edges = graph.EdgeCount();
   return result;
-}
-
-/// Adds the multiversion serialization-graph edges of `site` to `graph`,
-/// mapping transactions through `node_key`. Version order is the writers'
-/// serialization-key (timestamp) order.
-void AddMvsgEdges(const ScheduleRecorder& recorder, SiteId site,
-                  const std::function<int64_t(TxnId)>& node_key,
-                  DirectedGraph* graph) {
-  auto committed = [&recorder](TxnId txn) -> const TxnRecord* {
-    const TxnRecord* record = recorder.FindTxn(txn);
-    return (record != nullptr && record->outcome == TxnOutcome::kCommitted)
-               ? record
-               : nullptr;
-  };
-  auto add_edge = [&](TxnId from, TxnId to) {
-    if (from == to) return;
-    int64_t a = node_key(from);
-    int64_t b = node_key(to);
-    if (a != b) graph->AddEdge(a, b);
-  };
-
-  // Committed writers per item, ordered by serialization key.
-  struct VersionInfo {
-    int64_t key;
-    TxnId writer;
-  };
-  std::map<int64_t, std::vector<VersionInfo>> versions_by_item;
-  for (const RecordedOp& op : recorder.ops()) {
-    if (op.site != site || op.op.type != OpType::kWrite) continue;
-    const TxnRecord* record = committed(op.txn);
-    if (record == nullptr) continue;
-    MDBS_CHECK(record->serialization_key.has_value())
-        << "multiversion site writer without a timestamp";
-    auto& versions = versions_by_item[op.op.item.value()];
-    bool seen = false;
-    for (const VersionInfo& info : versions) {
-      if (info.writer == op.txn) seen = true;
-    }
-    if (!seen) {
-      versions.push_back(VersionInfo{*record->serialization_key, op.txn});
-    }
-  }
-  for (auto& [item, versions] : versions_by_item) {
-    std::sort(versions.begin(), versions.end(),
-              [](const VersionInfo& a, const VersionInfo& b) {
-                return a.key < b.key;
-              });
-    // Version-order edges.
-    for (size_t i = 1; i < versions.size(); ++i) {
-      add_edge(versions[i - 1].writer, versions[i].writer);
-    }
-  }
-
-  // Read edges: reads-from plus reader-before-next-version.
-  for (const RecordedOp& op : recorder.ops()) {
-    if (op.site != site || op.op.type != OpType::kRead) continue;
-    if (committed(op.txn) == nullptr) continue;
-    auto item_it = versions_by_item.find(op.op.item.value());
-    const std::vector<VersionInfo>* versions =
-        item_it == versions_by_item.end() ? nullptr : &item_it->second;
-
-    if (op.read_from.valid() && op.read_from != op.txn) {
-      add_edge(op.read_from, op.txn);  // Reads-from.
-    }
-    if (versions == nullptr || versions->empty()) continue;
-    // Successor version after the one read (initial version = before all).
-    size_t successor = 0;
-    if (op.read_from.valid()) {
-      const TxnRecord* writer = committed(op.read_from);
-      if (writer == nullptr) continue;  // Own/uncommitted: no constraint.
-      int64_t read_key = writer->serialization_key.value_or(-1);
-      while (successor < versions->size() &&
-             (*versions)[successor].key <= read_key) {
-        ++successor;
-      }
-    }
-    if (successor < versions->size()) {
-      add_edge(op.txn, (*versions)[successor].writer);
-    }
-  }
 }
 
 }  // namespace
@@ -182,15 +229,7 @@ int64_t GlobalNodeKey(const TxnRecord& record) {
 
 DirectedGraph BuildLocalConflictGraph(const ScheduleRecorder& recorder,
                                       SiteId site) {
-  DirectedGraph graph;
-  for (const TxnRecord* record : recorder.TxnsAtSite(site)) {
-    if (record->outcome == TxnOutcome::kCommitted) {
-      graph.AddNode(record->txn.value());
-    }
-  }
-  auto groups = GroupCommittedAccesses(recorder, site);
-  AddConflictEdges(groups, [](TxnId txn) { return txn.value(); }, &graph);
-  return graph;
+  return BuildGraph(recorder, AtSite(site), LocalNodeKey, {});
 }
 
 SerializabilityResult CheckLocalSerializability(
@@ -199,20 +238,7 @@ SerializabilityResult CheckLocalSerializability(
 }
 
 DirectedGraph BuildGlobalConflictGraph(const ScheduleRecorder& recorder) {
-  DirectedGraph graph;
-  for (const auto& [txn, record] : recorder.txns()) {
-    if (record.outcome == TxnOutcome::kCommitted) {
-      graph.AddNode(GlobalNodeKey(record));
-    }
-  }
-  auto groups = GroupCommittedAccesses(recorder, std::nullopt);
-  AddConflictEdges(
-      groups,
-      [&recorder](TxnId txn) {
-        return GlobalNodeKey(*recorder.FindTxn(txn));
-      },
-      &graph);
-  return graph;
+  return BuildGraph(recorder, AllSites, GlobalNodeKey, {});
 }
 
 SerializabilityResult CheckGlobalSerializability(
@@ -222,15 +248,7 @@ SerializabilityResult CheckGlobalSerializability(
 
 DirectedGraph BuildMultiversionSerializationGraph(
     const ScheduleRecorder& recorder, SiteId site) {
-  DirectedGraph graph;
-  for (const TxnRecord* record : recorder.TxnsAtSite(site)) {
-    if (record->outcome == TxnOutcome::kCommitted) {
-      graph.AddNode(record->txn.value());
-    }
-  }
-  AddMvsgEdges(recorder, site, [](TxnId txn) { return txn.value(); },
-               &graph);
-  return graph;
+  return BuildGraph(recorder, AtSite(site), LocalNodeKey, {site});
 }
 
 SerializabilityResult CheckMultiversionSerializability(
@@ -241,32 +259,7 @@ SerializabilityResult CheckMultiversionSerializability(
 SerializabilityResult CheckGlobalSerializabilityMixed(
     const ScheduleRecorder& recorder,
     const std::vector<SiteId>& mv_sites) {
-  DirectedGraph graph;
-  for (const auto& [txn, record] : recorder.txns()) {
-    if (record.outcome == TxnOutcome::kCommitted) {
-      graph.AddNode(GlobalNodeKey(record));
-    }
-  }
-  auto node_key = [&recorder](TxnId txn) {
-    return GlobalNodeKey(*recorder.FindTxn(txn));
-  };
-  auto is_mv = [&mv_sites](SiteId site) {
-    for (SiteId mv : mv_sites) {
-      if (mv == site) return true;
-    }
-    return false;
-  };
-  // Conflict edges for single-version sites only.
-  auto groups = GroupCommittedAccesses(recorder, std::nullopt);
-  std::map<std::pair<int64_t, int64_t>, std::vector<ItemAccess>> sv_groups;
-  for (auto& [key, accesses] : groups) {
-    if (!is_mv(SiteId(key.first))) sv_groups[key] = std::move(accesses);
-  }
-  AddConflictEdges(sv_groups, node_key, &graph);
-  for (SiteId site : mv_sites) {
-    AddMvsgEdges(recorder, site, node_key, &graph);
-  }
-  return CheckGraph(graph);
+  return CheckGraph(BuildGraph(recorder, AllSites, GlobalNodeKey, mv_sites));
 }
 
 Status CheckStrictness(const ScheduleRecorder& recorder, SiteId site,
@@ -319,26 +312,28 @@ Status CheckStrictness(const ScheduleRecorder& recorder, SiteId site,
 
 Status CheckSerializationKeyProperty(const ScheduleRecorder& recorder,
                                      SiteId site) {
-  DirectedGraph graph = BuildLocalConflictGraph(recorder, site);
-  for (const TxnRecord* from : recorder.TxnsAtSite(site)) {
-    if (from->outcome != TxnOutcome::kCommitted ||
-        !from->serialization_key.has_value()) {
-      continue;
+  // Checked on the reduced conflict edges directly: key monotonicity over
+  // them extends to every conflicting pair by transitivity, so no graph is
+  // needed.
+  Status status = Status::OK();
+  auto check = [&](const TxnRecord& from, const TxnRecord& to) {
+    if (!status.ok() || !from.serialization_key.has_value() ||
+        !to.serialization_key.has_value() ||
+        *from.serialization_key < *to.serialization_key) {
+      return;
     }
-    for (int64_t to_key : graph.Successors(from->txn.value())) {
-      const TxnRecord* to = recorder.FindTxn(TxnId(to_key));
-      if (to == nullptr || !to->serialization_key.has_value()) continue;
-      if (*from->serialization_key >= *to->serialization_key) {
-        std::ostringstream os;
-        os << "serialization-key property violated at " << ToString(site)
-           << ": " << ToString(from->txn) << " (key "
-           << *from->serialization_key << ") conflicts-before "
-           << ToString(to->txn) << " (key " << *to->serialization_key << ")";
-        return Status::Internal(os.str());
-      }
-    }
-  }
-  return Status::OK();
+    std::ostringstream os;
+    os << "serialization-key property violated at " << ToString(site) << ": "
+       << ToString(from.txn) << " (key " << *from.serialization_key
+       << ") conflicts-before " << ToString(to.txn) << " (key "
+       << *to.serialization_key << ")";
+    status = Status::Internal(os.str());
+  };
+  ForEachGroup(GroupCommittedAccesses(recorder, AtSite(site)),
+               [&](std::span<const Access> group) {
+                 ConflictEdges(group, check);
+               });
+  return status;
 }
 
 }  // namespace mdbs::sched

@@ -16,6 +16,9 @@ struct SerializabilityResult {
   bool serializable = false;
   /// A witness cycle of node keys when not serializable.
   std::optional<std::vector<int64_t>> cycle;
+  /// Size of the checked graph. Its nodes are the committed transactions
+  /// that accessed data (a transaction without accesses cannot be on a
+  /// cycle); its edges are the reduced conflict edges, deduplicated.
   size_t nodes = 0;
   size_t edges = 0;
 

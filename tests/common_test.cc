@@ -1,5 +1,7 @@
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -243,6 +245,46 @@ TEST(ZipfTest, AllValuesWithinRange) {
   Rng rng(23);
   ZipfGenerator zipf(7, 0.5);
   for (int i = 0; i < 5000; ++i) EXPECT_LT(zipf.Next(&rng), 7u);
+}
+
+// The workload generator builds one ZipfGenerator per transaction, so its
+// draws decide every generated item. Uniform draws must consume exactly the
+// stream NextBelow(n) consumes, and construction must draw nothing.
+TEST(ZipfTest, UniformDrawsEqualNextBelowDrawForDraw) {
+  for (uint64_t n : {uint64_t{1}, uint64_t{7}, uint64_t{2000},
+                     uint64_t{1} << 40}) {
+    Rng zipf_rng(99);
+    Rng plain_rng(99);
+    for (int txn = 0; txn < 50; ++txn) {
+      ZipfGenerator zipf(n, 0.0);  // O(1) even for 2^40 items.
+      for (int i = 0; i < 20; ++i) {
+        ASSERT_EQ(zipf.Next(&zipf_rng), plain_rng.NextBelow(n)) << "n=" << n;
+      }
+    }
+  }
+}
+
+// Skewed draws keep the precomputed-constant construction; this sequence
+// was recorded from it (seed 42, 1000 items) and must not drift.
+TEST(ZipfTest, SkewedDrawSequenceIsPinned) {
+  const std::vector<std::pair<double, std::vector<uint64_t>>> pinned = {
+      {0.5, {9, 152, 470, 857, 983, 598, 524, 727, 586, 348, 473, 91}},
+      {0.99, {0, 8, 88, 568, 940, 175, 119, 323, 165, 42, 90, 4}},
+  };
+  for (const auto& [theta, expected] : pinned) {
+    Rng rng(42);
+    ZipfGenerator zipf(1000, theta);
+    std::vector<uint64_t> drawn;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      drawn.push_back(zipf.Next(&rng));
+    }
+    EXPECT_EQ(drawn, expected) << "theta=" << theta;
+  }
+}
+
+TEST(ZipfDeathTest, EmptyItemRangeFailsLoudly) {
+  EXPECT_DEATH(ZipfGenerator(0, 0.0), "empty item range");
+  EXPECT_DEATH(ZipfGenerator(0, 0.9), "empty item range");
 }
 
 // --------------------------------------------------------------------------

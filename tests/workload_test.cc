@@ -98,6 +98,21 @@ TEST(GlobalWorkloadTest, GroupedModeKeepsSitesContiguous) {
   }
 }
 
+// A non-positive item count is a configuration error. It used to divide by
+// zero (0) or spin in the zeta sum for 2^64 items (-1); now it fails loudly
+// in every build type, NDEBUG included.
+TEST(WorkloadDeathTest, NonPositiveItemCountFailsLoudly) {
+  for (int64_t items : {int64_t{0}, int64_t{-1}}) {
+    GlobalWorkloadConfig global;
+    global.items_per_site = items;
+    LocalWorkloadConfig local;
+    local.items_per_site = items;
+    Rng rng(1);
+    EXPECT_DEATH(MakeGlobalTxn(global, Sites(3), &rng), "items_per_site");
+    EXPECT_DEATH(MakeLocalTxn(local, &rng), "items_per_site");
+  }
+}
+
 TEST(LocalWorkloadTest, BoundsHold) {
   LocalWorkloadConfig config;
   config.ops_min = 1;
