@@ -6,15 +6,15 @@
 // Usage:
 //   mdbsim [--sites=2pl,to,sgt,occ,mvto,2plww,2plwd]
 //          [--scheme=0|1|2|3|ticket|none]
-//          [--global-clients=8] [--local-clients=1] [--commits=200]
-//          [--items=100] [--dav=2-3] [--read-ratio=0.5] [--zipf=0.0]
-//          [--seed=42] [--crash-interval=0] [--timeout=200000]
+//          [--global_clients=8] [--local_clients=1] [--commits=200]
+//          [--items=100] [--dav=2-3] [--read_ratio=0.5] [--zipf=0.0]
+//          [--seed=42] [--timeout=200000]
 //          [--fault_plan=SPEC|FILE] [--retry=MAX,BACKOFF]
-//          [--dump-schedule=0]
+//          [--dump_schedule=0]
 //
 // Example:
 //   ./build/examples/mdbsim --sites=2pl,mvto,sgt --scheme=3
-//       --global-clients=12 --commits=500 --items=20 --zipf=0.9
+//       --global_clients=12 --commits=500 --items=20 --zipf=0.9
 
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +30,6 @@
 #include "gtm/robust_fast_path.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
-#include "mdbs/threaded_driver.h"
 #include "obs/report.h"
 #include "obs/trace_export.h"
 #include "sched/stats.h"
@@ -56,8 +55,6 @@ struct Options {
   double read_ratio = 0.5;
   double zipf = 0.0;
   uint64_t seed = 42;
-  double loss = 0.0;
-  mdbs::sim::Time crash_interval = 0;
   mdbs::sim::Time timeout = 200'000;
   int dump_schedule = 0;
   bool threaded = false;
@@ -137,12 +134,22 @@ bool ParseOptions(int argc, char** argv, Options* options) {
         std::fprintf(stderr, "unknown scheme\n");
         return false;
       }
-    } else if (arg.rfind("--global-clients=", 0) == 0) {
-      options->global_clients = std::atoi(value_of("--global-clients=").c_str());
-    } else if (arg.rfind("--local-clients=", 0) == 0) {
-      options->local_clients = std::atoi(value_of("--local-clients=").c_str());
+    } else if (arg.rfind("--global_clients=", 0) == 0) {
+      options->global_clients = std::atoi(value_of("--global_clients=").c_str());
+      // Local clients stop when the global ones finish; without one global
+      // client a run would never end.
+      if (options->global_clients < 1) {
+        std::fprintf(stderr, "--global_clients must be >= 1\n");
+        return false;
+      }
+    } else if (arg.rfind("--local_clients=", 0) == 0) {
+      options->local_clients = std::atoi(value_of("--local_clients=").c_str());
     } else if (arg.rfind("--commits=", 0) == 0) {
       options->commits = std::atoll(value_of("--commits=").c_str());
+      if (options->commits < 1) {
+        std::fprintf(stderr, "--commits must be >= 1\n");
+        return false;
+      }
     } else if (arg.rfind("--items=", 0) == 0) {
       options->items = std::atoll(value_of("--items=").c_str());
       if (options->items < 1) {
@@ -158,21 +165,16 @@ bool ParseOptions(int argc, char** argv, Options* options) {
         options->dav_min = std::atoi(range.substr(0, dash).c_str());
         options->dav_max = std::atoi(range.substr(dash + 1).c_str());
       }
-    } else if (arg.rfind("--read-ratio=", 0) == 0) {
-      options->read_ratio = std::atof(value_of("--read-ratio=").c_str());
+    } else if (arg.rfind("--read_ratio=", 0) == 0) {
+      options->read_ratio = std::atof(value_of("--read_ratio=").c_str());
     } else if (arg.rfind("--zipf=", 0) == 0) {
       options->zipf = std::atof(value_of("--zipf=").c_str());
     } else if (arg.rfind("--seed=", 0) == 0) {
       options->seed = std::strtoull(value_of("--seed=").c_str(), nullptr, 10);
-    } else if (arg.rfind("--loss=", 0) == 0) {
-      options->loss = std::atof(value_of("--loss=").c_str());
-    } else if (arg.rfind("--crash-interval=", 0) == 0) {
-      options->crash_interval =
-          std::atoll(value_of("--crash-interval=").c_str());
     } else if (arg.rfind("--timeout=", 0) == 0) {
       options->timeout = std::atoll(value_of("--timeout=").c_str());
-    } else if (arg.rfind("--dump-schedule=", 0) == 0) {
-      options->dump_schedule = std::atoi(value_of("--dump-schedule=").c_str());
+    } else if (arg.rfind("--dump_schedule=", 0) == 0) {
+      options->dump_schedule = std::atoi(value_of("--dump_schedule=").c_str());
     } else if (arg.rfind("--threaded=", 0) == 0) {
       options->threaded = std::atoi(value_of("--threaded=").c_str()) != 0;
     } else if (arg.rfind("--fault_plan=", 0) == 0) {
@@ -270,15 +272,13 @@ void PrintUsage() {
       "  --sites=2pl,to,sgt,occ,mvto,2plww,2plwd\n"
       "                                site protocols (comma list)\n"
       "  --scheme=0|1|2|3|ticket|none  GTM2 scheme\n"
-      "  --global-clients=N            closed-loop global clients\n"
-      "  --local-clients=N             local clients per site\n"
+      "  --global_clients=N            closed-loop global clients (>= 1)\n"
+      "  --local_clients=N             local clients per site\n"
       "  --commits=N                   stop after N finished global txns\n"
       "  --items=N                     items per site\n"
       "  --dav=LO-HI                   sites per global txn\n"
-      "  --read-ratio=R --zipf=THETA   access mix and skew\n"
+      "  --read_ratio=R --zipf=THETA   access mix and skew\n"
       "  --seed=S                      RNG seed (runs are deterministic)\n"
-      "  --loss=P                      drop op responses with prob P\n"
-      "  --crash-interval=T            inject a site crash every T ticks\n"
       "  --fault_plan=SPEC|FILE        deterministic fault plan, e.g.\n"
       "                                'sweep@2000:3000:1500;req_loss=0.02;\n"
       "                                dup=0.01;spike=0.05:200' (see\n"
@@ -286,7 +286,7 @@ void PrintUsage() {
       "  --retry=MAX[,BACKOFF]         client-level resubmissions of failed\n"
       "                                retry-safe global txns\n"
       "  --timeout=T                   per-attempt timeout (ticks)\n"
-      "  --dump-schedule=N             print the first N recorded ops\n"
+      "  --dump_schedule=N             print the first N recorded ops\n"
       "  --threaded=0|1                engine: simulator (0) or real\n"
       "                                threads, ticks = microseconds (1)\n"
       "  --trace_out=PATH              write a Chrome/Perfetto trace JSON\n"
@@ -363,7 +363,6 @@ int main(int argc, char** argv) {
       mdbs::MdbsConfig::Mixed(options.sites, options.scheme);
   config.seed = options.seed;
   config.gtm.attempt_timeout = options.timeout;
-  config.response_loss_probability = options.loss;
   config.threaded = options.threaded;
   if (!options.fault_plan.empty()) {
     mdbs::StatusOr<mdbs::fault::FaultPlan> plan =
@@ -527,14 +526,11 @@ int main(int argc, char** argv) {
   driver.local_workload.items_per_site = options.items;
   driver.local_workload.read_ratio = options.read_ratio;
   driver.local_workload.zipf_theta = options.zipf;
-  driver.crash_interval = options.crash_interval;
   driver.retry.max_resubmissions = options.retry_max;
   driver.retry.backoff = options.retry_backoff;
   driver.templates = mix;
 
-  mdbs::DriverReport report =
-      options.threaded ? RunThreadedDriver(&system, driver, options.seed)
-                       : RunDriver(&system, driver, options.seed);
+  mdbs::DriverReport report = RunDriver(&system, driver, options.seed);
   std::printf("%s", report.ToString().c_str());
 
   std::vector<mdbs::obs::TraceEvent> events;

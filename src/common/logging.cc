@@ -50,7 +50,7 @@ std::mutex& SinkMutex() {
 }
 
 void DefaultSink(LogLevel /*level*/, const std::string& line) {
-  // One locked write per line: site strands, GTM strand and client threads
+  // One locked write per line: site strands, GTM strand and caller threads
   // log concurrently, and partial-line interleaving makes traces useless.
   std::lock_guard<std::mutex> lock(SinkMutex());
   std::fwrite(line.data(), 1, line.size(), stderr);

@@ -1,5 +1,7 @@
 #include "mdbs/driver.h"
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <sstream>
 
@@ -9,24 +11,37 @@ namespace mdbs {
 
 namespace {
 
+/// Shared by every client of one run. A client runs on the strand that
+/// delivers its completions: a global client on the GTM strand, where Gtm1
+/// result callbacks fire, and a local client on its site's strand, where
+/// LocalDbms callbacks fire. The global tallies are therefore written on
+/// the GTM strand only; what the site strands write or read is atomic. In
+/// the simulator every strand is the one event loop.
 struct RunState {
   Mdbs* mdbs = nullptr;
   DriverConfig config;
   int64_t global_committed = 0;
   int64_t global_failed = 0;
-  int64_t local_committed = 0;
-  int64_t local_failed = 0;
-  int64_t local_retries = 0;
   int64_t global_resubmissions = 0;
   int64_t global_retry_unsafe = 0;
   int64_t txns_failed_permanently = 0;
   sim::Summary response;
   sim::Summary attempts;
-  bool stop_issuing = false;
+  std::atomic<int64_t> local_committed{0};
+  std::atomic<int64_t> local_failed{0};
+  std::atomic<int64_t> local_retries{0};
+  std::atomic<bool> stop_issuing{false};
+  /// Clients still running; the last one to retire wakes the threaded
+  /// engine's caller.
+  std::atomic<int> live_clients{0};
 
   bool TargetReached() const {
     return global_committed + global_failed >=
            config.target_global_commits;
+  }
+  bool Stopped() const { return stop_issuing.load(); }
+  void Retire() {
+    if (live_clients.fetch_sub(1) == 1) live_clients.notify_all();
   }
 };
 
@@ -47,7 +62,7 @@ struct GlobalTxnTry {
 
 void SubmitGlobalTry(const std::shared_ptr<GlobalTxnTry>& txn) {
   gtm::GlobalTxnSpec spec = txn->spec;
-  txn->state->mdbs->gtm().Submit(
+  txn->state->mdbs->SubmitGlobal(
       std::move(spec), [txn](const gtm::GlobalTxnResult& result) {
         RunState& state = *txn->state;
         txn->attempts_total += result.attempts;
@@ -56,7 +71,7 @@ void SubmitGlobalTry(const std::shared_ptr<GlobalTxnTry>& txn) {
           state.response.Add(
               static_cast<double>(result.finish_time - txn->start));
           state.attempts.Add(txn->attempts_total);
-        } else if (result.retry_safe && !state.stop_issuing &&
+        } else if (result.retry_safe && !state.Stopped() &&
                    txn->resubmissions <
                        state.config.retry.max_resubmissions) {
           ++txn->resubmissions;
@@ -69,7 +84,7 @@ void SubmitGlobalTry(const std::shared_ptr<GlobalTxnTry>& txn) {
           // submission.
           sim::Time base = state.config.retry.backoff;
           for (int i = 1; i < txn->resubmissions && i < 4; ++i) base *= 2;
-          state.mdbs->loop().Schedule(
+          state.mdbs->GtmRunner()->Schedule(
               base + static_cast<sim::Time>(txn->rng->NextBelow(
                          static_cast<uint64_t>(base) + 1)),
               [txn]() { SubmitGlobalTry(txn); });
@@ -77,7 +92,7 @@ void SubmitGlobalTry(const std::shared_ptr<GlobalTxnTry>& txn) {
         } else {
           if (!result.retry_safe) {
             ++state.global_retry_unsafe;
-          } else if (!state.stop_issuing) {
+          } else if (!state.Stopped()) {
             // A retry-safe failure with the resubmission budget spent: the
             // client gives up permanently.
             ++state.txns_failed_permanently;
@@ -85,10 +100,11 @@ void SubmitGlobalTry(const std::shared_ptr<GlobalTxnTry>& txn) {
           ++state.global_failed;
         }
         if (state.TargetReached()) {
-          state.stop_issuing = true;
+          state.stop_issuing.store(true);
+          state.Retire();
           return;
         }
-        state.mdbs->loop().Schedule(
+        state.mdbs->GtmRunner()->Schedule(
             state.config.global_think,
             [state_ptr = txn->state, rng = txn->rng]() {
               GlobalClientIssue(state_ptr, rng);
@@ -99,7 +115,10 @@ void SubmitGlobalTry(const std::shared_ptr<GlobalTxnTry>& txn) {
 /// One closed-loop global client.
 void GlobalClientIssue(const std::shared_ptr<RunState>& state,
                        const std::shared_ptr<Rng>& rng) {
-  if (state->stop_issuing) return;
+  if (state->Stopped()) {
+    state->Retire();
+    return;
+  }
   auto txn = std::make_shared<GlobalTxnTry>();
   txn->state = state;
   txn->rng = rng;
@@ -112,7 +131,7 @@ void GlobalClientIssue(const std::shared_ptr<RunState>& state,
     txn->spec = MakeGlobalTxn(state->config.global_workload,
                               state->mdbs->site_ids(), rng.get());
   }
-  txn->start = state->mdbs->loop().now();
+  txn->start = state->mdbs->NowTicks();
   SubmitGlobalTry(txn);
 }
 
@@ -136,6 +155,7 @@ void LocalTxnStep(const std::shared_ptr<LocalTxnRun>& run);
 void LocalTxnRetryOrFinish(const std::shared_ptr<LocalTxnRun>& run,
                            bool committed) {
   auto& state = *run->state;
+  sim::TaskRunner* strand = state.mdbs->SiteRunner(run->site);
   if (committed) {
     ++state.local_committed;
   } else if (run->attempt >= state.config.local_max_attempts) {
@@ -144,7 +164,7 @@ void LocalTxnRetryOrFinish(const std::shared_ptr<LocalTxnRun>& run,
     // Retry the same operations after a randomized backoff.
     ++state.local_retries;
     run->next_op = 0;
-    state.mdbs->loop().Schedule(
+    strand->Schedule(
         static_cast<sim::Time>(50 + run->rng->NextBelow(100)),
         [run]() {
           StatusOr<TxnId> txn = run->state->mdbs->BeginLocal(run->site);
@@ -160,12 +180,15 @@ void LocalTxnRetryOrFinish(const std::shared_ptr<LocalTxnRun>& run,
         });
     return;
   }
-  if (state.stop_issuing) return;
-  state.mdbs->loop().Schedule(state.config.local_think,
-                              [state_ptr = run->state, rng = run->rng,
-                               site = run->site]() {
-                                LocalClientIssue(state_ptr, rng, site);
-                              });
+  if (state.Stopped()) {
+    state.Retire();
+    return;
+  }
+  strand->Schedule(state.config.local_think,
+                   [state_ptr = run->state, rng = run->rng,
+                    site = run->site]() {
+                     LocalClientIssue(state_ptr, rng, site);
+                   });
 }
 
 void LocalTxnStep(const std::shared_ptr<LocalTxnRun>& run) {
@@ -190,7 +213,10 @@ void LocalTxnStep(const std::shared_ptr<LocalTxnRun>& run) {
 
 void LocalClientIssue(const std::shared_ptr<RunState>& state,
                       const std::shared_ptr<Rng>& rng, SiteId site) {
-  if (state->stop_issuing) return;
+  if (state->Stopped()) {
+    state->Retire();
+    return;
+  }
   auto run = std::make_shared<LocalTxnRun>();
   run->state = state;
   run->rng = rng;
@@ -200,7 +226,7 @@ void LocalClientIssue(const std::shared_ptr<RunState>& state,
   StatusOr<TxnId> txn = state->mdbs->BeginLocal(site);
   if (!txn.ok()) {
     // Site down right now; try again shortly.
-    state->mdbs->loop().Schedule(
+    state->mdbs->SiteRunner(site)->Schedule(
         static_cast<sim::Time>(200 + rng->NextBelow(200)),
         [state, rng, site]() { LocalClientIssue(state, rng, site); });
     return;
@@ -210,25 +236,13 @@ void LocalClientIssue(const std::shared_ptr<RunState>& state,
   LocalTxnStep(run);
 }
 
-/// Failure injection: every crash_interval ticks, crash a random up-site
-/// and recover it crash_duration later, until the run stops issuing work.
-void ArmCrashInjection(const std::shared_ptr<RunState>& state,
-                       const std::shared_ptr<Rng>& rng) {
-  if (state->stop_issuing) return;
-  Mdbs* mdbs = state->mdbs;
-  mdbs->loop().Schedule(state->config.crash_interval, [state, rng]() {
-    if (state->stop_issuing) return;
-    Mdbs* inner = state->mdbs;
-    SiteId victim =
-        inner->site_ids()[rng->NextBelow(inner->site_ids().size())];
-    if (!inner->site(victim).IsDown()) {
-      inner->site(victim).Crash();
-      inner->loop().Schedule(
-          state->config.crash_duration,
-          [state, victim]() { state->mdbs->site(victim).Recover(); });
-    }
-    ArmCrashInjection(state, rng);
-  });
+/// Threaded runs with tracing on gauge every strand's queue depth once a
+/// millisecond (the kStrandBacklog series) until the clients stop.
+void SampleBacklogs(const std::shared_ptr<RunState>& state) {
+  if (state->Stopped()) return;
+  state->mdbs->SampleStrandBacklogs();
+  state->mdbs->GtmRunner()->Schedule(1000,
+                                     [state]() { SampleBacklogs(state); });
 }
 
 }  // namespace
@@ -388,33 +402,55 @@ void DriverReport::AddToRegistry(sim::MetricsRegistry* registry) const {
 
 DriverReport RunDriver(Mdbs* mdbs, const DriverConfig& config,
                        uint64_t seed) {
+  // Local clients stop when the global target is reached: without global
+  // work to finish, a run would never end.
+  MDBS_CHECK(config.global_clients >= 1)
+      << "RunDriver needs global_clients >= 1, got " << config.global_clients;
+  MDBS_CHECK(config.target_global_commits >= 1)
+      << "RunDriver needs target_global_commits >= 1, got "
+      << config.target_global_commits;
   auto state = std::make_shared<RunState>();
   state->mdbs = mdbs;
   state->config = config;
+  int local_clients = std::max(0, config.local_clients_per_site);
+  state->live_clients.store(
+      config.global_clients +
+      local_clients * static_cast<int>(mdbs->site_ids().size()));
   Rng root(seed);
 
-  sim::Time start_time = mdbs->loop().now();
+  sim::Time start_time = mdbs->NowTicks();
   for (int i = 0; i < config.global_clients; ++i) {
     auto rng = std::make_shared<Rng>(root.Fork());
-    mdbs->loop().Schedule(static_cast<sim::Time>(i),
-                          [state, rng]() { GlobalClientIssue(state, rng); });
+    mdbs->GtmRunner()->Schedule(
+        static_cast<sim::Time>(i),
+        [state, rng]() { GlobalClientIssue(state, rng); });
   }
-  if (config.local_clients_per_site > 0) {
-    for (SiteId site : mdbs->site_ids()) {
-      for (int i = 0; i < config.local_clients_per_site; ++i) {
-        auto rng = std::make_shared<Rng>(root.Fork());
-        mdbs->loop().Schedule(
-            static_cast<sim::Time>(i),
-            [state, rng, site]() { LocalClientIssue(state, rng, site); });
-      }
+  for (SiteId site : mdbs->site_ids()) {
+    for (int i = 0; i < local_clients; ++i) {
+      auto rng = std::make_shared<Rng>(root.Fork());
+      mdbs->SiteRunner(site)->Schedule(
+          static_cast<sim::Time>(i),
+          [state, rng, site]() { LocalClientIssue(state, rng, site); });
     }
   }
-  if (config.crash_interval > 0) {
-    auto crash_rng = std::make_shared<Rng>(root.Fork());
-    ArmCrashInjection(state, crash_rng);
-  }
 
-  mdbs->RunUntilIdle();
+  sim::Time end_time = 0;
+  if (mdbs->threaded()) {
+    if (mdbs->trace_sink() != nullptr) {
+      mdbs->GtmRunner()->Schedule(0, [state]() { SampleBacklogs(state); });
+    }
+    for (int live = state->live_clients.load(); live > 0;
+         live = state->live_clients.load()) {
+      state->live_clients.wait(live);
+    }
+    end_time = mdbs->NowTicks();
+    // Drain in-flight tails (fire-and-forget aborts, last acknowledgements)
+    // and stop the strands; from here on the stack is single-threaded.
+    mdbs->FinishThreadedRun();
+  } else {
+    mdbs->RunUntilIdle();
+    end_time = mdbs->NowTicks();
+  }
 
   // End-of-run oracle: the recorded schedules must satisfy the paper's
   // correctness criteria. Violations are reported through the auditor
@@ -432,8 +468,10 @@ DriverReport RunDriver(Mdbs* mdbs, const DriverConfig& config,
   report.global_retry_unsafe = state->global_retry_unsafe;
   report.txns_failed_permanently = state->txns_failed_permanently;
   report.faults = mdbs->fault_stats();
-  report.duration = mdbs->loop().now() - start_time;
+  report.duration = end_time - start_time;
   if (report.duration > 0) {
+    // In the threaded engine ticks are microseconds: "per Mtick" is per
+    // second.
     report.global_throughput = 1e6 *
                                static_cast<double>(report.global_committed) /
                                static_cast<double>(report.duration);

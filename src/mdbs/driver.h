@@ -11,12 +11,6 @@
 
 namespace mdbs {
 
-/// A closed-loop experiment: `global_clients` clients each keep one global
-/// transaction in flight (multiprogramming level), while
-/// `local_clients_per_site` clients per site run local transactions that
-/// the GTM never sees — the source of indirect conflicts. The run stops
-/// once `target_global_commits` global transactions committed and all
-/// in-flight work drained.
 /// Client-level retry policy on top of the GTM's own attempts: a failed
 /// global transaction is resubmitted (as a fresh GTM job, same spec) up to
 /// `max_resubmissions` times, with doubling backoff from `backoff`.
@@ -33,6 +27,14 @@ struct RetryConfig {
   sim::Time backoff = 1000;
 };
 
+/// A closed-loop experiment: `global_clients` clients each keep one global
+/// transaction in flight (multiprogramming level), while
+/// `local_clients_per_site` clients per site run local transactions that
+/// the GTM never sees — the source of indirect conflicts. The run stops
+/// once `target_global_commits` global transactions finished and all
+/// in-flight work drained. Local clients stop with the global ones, so a
+/// run needs at least one global client and a positive target. Faults
+/// (site crashes, message loss) come from MdbsConfig::fault_plan.
 struct DriverConfig {
   int global_clients = 8;
   int local_clients_per_site = 2;
@@ -42,11 +44,6 @@ struct DriverConfig {
   sim::Time local_think = 50;
   /// Give up on a local transaction after this many aborts.
   int local_max_attempts = 50;
-  /// Failure injection: every `crash_interval` ticks a random site crashes
-  /// for `crash_duration` ticks (all its active transactions abort; the
-  /// GTM retries). 0 disables. Scripted alternative: MdbsConfig::fault_plan.
-  sim::Time crash_interval = 0;
-  sim::Time crash_duration = 2000;
   /// Client-level retry layer (see RetryConfig).
   RetryConfig retry;
   GlobalWorkloadConfig global_workload;
@@ -75,7 +72,7 @@ struct DriverReport {
   gtm::Gtm2Stats gtm2;
   int64_t site_blocked = 0;  // Blocked operations across sites.
   int64_t site_aborts = 0;   // Local protocol aborts across sites.
-  int64_t crashes = 0;       // Injected site crashes.
+  int64_t crashes = 0;       // Site crashes.
   /// Client-level resubmissions of failed-but-retry-safe transactions.
   int64_t global_resubmissions = 0;
   /// Failures not resubmitted because retry_safe was false (partial
@@ -107,7 +104,16 @@ struct DriverReport {
   void AddToRegistry(sim::MetricsRegistry* registry) const;
 };
 
-/// Runs the closed-loop experiment on `mdbs`. Deterministic given `seed`.
+/// Runs the closed-loop experiment on `mdbs`, in either engine. Clients
+/// are callbacks on the strands that deliver their completions: global
+/// clients on the GTM strand, local clients on their site's strand. The
+/// simulator runs until idle, and the run is deterministic given `seed`.
+/// The threaded engine (MdbsConfig::threaded) reads ticks as real
+/// microseconds: the caller waits for the last client to retire, then
+/// drains the strands (Mdbs::FinishThreadedRun), and the interleaving is
+/// the hardware's, so one seed may commit in different orders. Either way
+/// the audit oracle then checks the recorded schedule, and the report's
+/// duration and throughput are in the engine's ticks.
 DriverReport RunDriver(Mdbs* mdbs, const DriverConfig& config, uint64_t seed);
 
 }  // namespace mdbs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <thread>
 
 #include "common/logging.h"
@@ -117,14 +116,10 @@ Mdbs::Mdbs(const MdbsConfig& config)
     for (SiteId id : site_ids_) sites_.at(id)->EnableMetrics(metrics_.get());
   }
 
-  // Fault layer: resolve sweeps against the real site count, fold the
-  // legacy response-loss knob in, then arm the crash windows now so a
-  // (plan, seed) pair replays identically.
+  // Fault layer: resolve sweeps against the real site count, then arm the
+  // crash windows now so a (plan, seed) pair replays identically.
   fault::FaultPlan plan = fault::ResolveSweeps(
       config.fault_plan, static_cast<int>(site_ids_.size()));
-  if (config.response_loss_probability > 0 && plan.response_loss <= 0) {
-    plan.response_loss = config.response_loss_probability;
-  }
   Status plan_ok = fault::ValidatePlanForConfig(plan, config.gtm.durable,
                                                 config.gtm_standby);
   MDBS_CHECK(plan_ok.ok()) << plan_ok.message();
@@ -282,16 +277,6 @@ void Mdbs::SubmitGlobal(gtm::GlobalTxnSpec spec, gtm::Gtm1::ResultCallback cb) {
       });
 }
 
-void Mdbs::InjectCrash(SiteId site, sim::Time recover_after) {
-  SiteRunner(site)->Schedule(0, [this, site, recover_after]() {
-    site::LocalDbms& dbms = *sites_.at(site);
-    if (dbms.IsDown()) return;
-    dbms.Crash();
-    SiteRunner(site)->Schedule(recover_after,
-                               [this, site]() { sites_.at(site)->Recover(); });
-  });
-}
-
 void Mdbs::FinishThreadedRun() {
   if (!threaded_ || strands_stopped_) return;
   // Quiescence sweep. The horizon must exceed every short-lived internal
@@ -396,28 +381,7 @@ Status Mdbs::RunAuditOracle() {
 
 StatusOr<TxnId> Mdbs::BeginLocal(SiteId site) {
   TxnId txn = TxnId(next_local_txn_id_++);
-  if (!threaded_) {
-    Status status = sites_.at(site)->Begin(txn, GlobalTxnId());
-    if (!status.ok()) return status;
-    return txn;
-  }
-  // The site's state belongs to its strand; run the begin there and block
-  // until it answered. The references stay valid because this frame waits.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  Status status = Status::OK();
-  SiteRunner(site)->Schedule(0, [&]() {
-    Status begin_status = sites_.at(site)->Begin(txn, GlobalTxnId());
-    // Notify under the lock: this frame destroys cv/mu the moment it
-    // observes `done`, which the mutex orders after the signal.
-    std::lock_guard<std::mutex> lock(mu);
-    status = begin_status;
-    done = true;
-    cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&]() { return done; });
+  Status status = sites_.at(site)->Begin(txn, GlobalTxnId());
   if (!status.ok()) return status;
   return txn;
 }

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -31,9 +30,6 @@ struct MdbsConfig {
   gtm::Gtm1Config gtm;
   /// One-way GTM <-> site network delay.
   sim::Time net_delay = 5;
-  /// Legacy knob, equivalent to fault_plan.response_loss (used when the
-  /// plan itself sets no response loss). Prefer the fault plan.
-  double response_loss_probability = 0;
   /// Deterministic fault-injection plan: scheduled site crashes plus
   /// request/response loss, duplicate delivery and delay spikes on the
   /// begin/data paths. Losing a request or response leaves the operation
@@ -71,8 +67,8 @@ struct MdbsConfig {
   /// Execution mode. false: the single-threaded discrete-event simulator
   /// (deterministic; drive it with RunUntilIdle). true: real threads — one
   /// RealStrand per site plus one for the GTM — with ticks interpreted as
-  /// real microseconds; drive it with RunThreadedDriver (or SubmitGlobal +
-  /// your own threads) and finish with FinishThreadedRun.
+  /// real microseconds; drive it with RunDriver (or SubmitGlobal + your own
+  /// threads) and finish with FinishThreadedRun.
   bool threaded = false;
 
   /// Convenience: `count` sites with the given protocols round-robin.
@@ -144,15 +140,14 @@ class Mdbs : public gtm::SiteGateway {
 
   /// Begins a purely local transaction at `site` (a pre-existing local
   /// application: invisible to the GTM). Returns the fresh transaction id,
-  /// or TransactionAborted while the site is down. In threaded mode this
-  /// blocks the calling thread until the site's strand ran the begin.
+  /// or TransactionAborted while the site is down. In threaded mode call it
+  /// on the site's strand (SiteRunner), like any other site-state access.
   StatusOr<TxnId> BeginLocal(SiteId site);
 
-  /// Crashes `site` (if up) on its strand and schedules its recovery
-  /// `recover_after` ticks later. Safe from any thread in threaded mode.
-  /// Scripted alternative: MdbsConfig::fault_plan crashes, armed at
-  /// construction.
-  void InjectCrash(SiteId site, sim::Time recover_after);
+  /// The strand owning `site`'s state (the shared loop in simulation mode).
+  sim::TaskRunner* SiteRunner(SiteId site);
+  /// The strand owning the GTM's state; GTM result callbacks fire on it.
+  sim::TaskRunner* GtmRunner();
 
   /// The site health monitor (always constructed; probing is lazy and
   /// gated on HealthConfig::enabled).
@@ -160,7 +155,7 @@ class Mdbs : public gtm::SiteGateway {
 
   /// What the fault layer actually injected/suppressed this run.
   fault::FaultStats fault_stats() const { return injector_->stats(); }
-  /// The plan after sweep resolution and legacy-knob folding.
+  /// The plan after sweep resolution.
   const fault::FaultPlan& resolved_fault_plan() const {
     return injector_->plan();
   }
@@ -223,8 +218,8 @@ class Mdbs : public gtm::SiteGateway {
   obs::MetricsEngine* metrics() { return metrics_.get(); }
 
   /// Records one kStrandBacklog sample per strand (GTM + sites). Threaded
-  /// mode with tracing on only; safe from any thread (a sampler thread
-  /// calls it periodically). No-op otherwise.
+  /// mode with tracing on only; safe from any thread (RunDriver's sampler
+  /// task calls it once a millisecond). No-op otherwise.
   void SampleStrandBacklogs();
 
   /// Sites running a multiversion protocol (verified via MVSG).
@@ -274,10 +269,6 @@ class Mdbs : public gtm::SiteGateway {
   /// Sites the health monitor currently declares down (GTM strand only).
   std::vector<SiteId> CurrentlyDownSites() const;
 
-  /// The strand owning `site`'s state (the shared loop in simulation mode).
-  sim::TaskRunner* SiteRunner(SiteId site);
-  /// The strand owning the GTM's state.
-  sim::TaskRunner* GtmRunner();
   /// Stops all strands without the quiescence sweep (destructor path).
   void StopStrands();
 

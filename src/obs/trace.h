@@ -133,7 +133,7 @@ struct TraceConfig {
   size_t buffer_capacity = 1 << 18;
 };
 
-/// Collects TraceEvents from every strand and client thread of one
+/// Collects TraceEvents from every strand and caller thread of one
 /// multidatabase run. Each recording thread appends to its own buffer under
 /// its own (uncontended) mutex — "lock-free-ish": the fast path never blocks
 /// on another thread — and Drain() merges all buffers into (time, seq)

@@ -43,15 +43,6 @@ const TxnRecord* ScheduleRecorder::FindTxn(TxnId txn) const {
   return it == txns_.end() ? nullptr : &it->second;
 }
 
-std::vector<const TxnRecord*> ScheduleRecorder::TxnsAtSite(
-    SiteId site) const {
-  std::vector<const TxnRecord*> result;
-  for (const auto& [txn, record] : txns_) {
-    if (record.site == site) result.push_back(&record);
-  }
-  return result;
-}
-
 int64_t ScheduleRecorder::CommittedCount() const {
   int64_t count = 0;
   for (const auto& [txn, record] : txns_) {

@@ -73,9 +73,6 @@ class ScheduleRecorder {
   /// Record for `txn`; nullptr when unknown.
   const TxnRecord* FindTxn(TxnId txn) const;
 
-  /// All transactions that ran at `site`.
-  std::vector<const TxnRecord*> TxnsAtSite(SiteId site) const;
-
   /// All recorded transactions.
   const std::unordered_map<TxnId, TxnRecord>& txns() const { return txns_; }
 

@@ -1,5 +1,5 @@
 // Randomized configuration fuzzing: random federations (protocol mixes,
-// scheme, workload shape, optional crash injection) must always finish,
+// scheme, workload shape, an optional crash schedule) must always finish,
 // stay locally and globally serializable, and never see a conservative
 // scheme abort. This is the catch-all net over the whole stack.
 
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fault/fault_plan.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
 
@@ -60,6 +61,15 @@ TEST_P(FuzzTest, RandomFederationStaysCorrect) {
   config.gtm.ticket_last = ticket_last;
   config.gtm.attempt_timeout =
       static_cast<sim::Time>(rng.NextInRange(20'000, 100'000));
+  if (crashes) {
+    // A site crash every 8000 ticks for 2000 ticks, rotating over the
+    // sites, through the run (at most about 130000 ticks).
+    const sim::Time sweep = 8000 * static_cast<sim::Time>(site_count);
+    for (sim::Time at = 8000; at < 200'000; at += sweep) {
+      config.fault_plan.sweeps.push_back(
+          fault::SweepEvent{at, /*gap=*/8000, /*duration=*/2000});
+    }
+  }
   Mdbs system(config);
 
   DriverConfig driver;
@@ -74,11 +84,6 @@ TEST_P(FuzzTest, RandomFederationStaysCorrect) {
   driver.local_workload.items_per_site =
       driver.global_workload.items_per_site;
   driver.local_workload.read_ratio = driver.global_workload.read_ratio;
-  if (crashes) {
-    driver.crash_interval = 8000;
-    driver.crash_duration = 2000;
-  }
-
   DriverReport report = RunDriver(&system, driver, GetParam());
 
   SCOPED_TRACE("scheme=" + std::string(gtm::SchemeKindName(scheme)) +

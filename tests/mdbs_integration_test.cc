@@ -171,22 +171,33 @@ TEST(MdbsEndToEndSingle, LocalOnlyWorkloadNeedsNoGtm) {
   MdbsConfig config = MdbsConfig::Mixed(AllProtocolMix(), SchemeKind::kScheme3);
   Mdbs system(config);
   DriverConfig driver;
-  driver.global_clients = 0;
-  driver.local_clients_per_site = 3;
-  driver.target_global_commits = 0;  // Stops immediately for globals...
-  driver.local_workload.items_per_site = 10;
-  // With target 0, global clients never run; drive local clients manually
-  // for a fixed horizon instead.
-  for (SiteId site : system.site_ids()) {
-    (void)site;
-  }
-  // Simplest: run the driver with a tiny global target and 1 client.
+  // Local clients stop when the global target is reached, so one global
+  // client with a tiny target bounds the run.
   driver.global_clients = 1;
+  driver.local_clients_per_site = 3;
   driver.target_global_commits = 5;
+  driver.local_workload.items_per_site = 10;
   DriverReport report = RunDriver(&system, driver, 9);
   EXPECT_GT(report.local_committed, 0);
   EXPECT_TRUE(system.CheckLocallySerializable().ok());
   EXPECT_TRUE(system.CheckGloballySerializable().ok());
+}
+
+// Local clients stop only when the global work is finished, so a run with
+// no global client or nothing to finish would never end (in either engine).
+// RunDriver refuses both instead of hanging.
+TEST(MdbsDriverDeathTest, RunWithoutGlobalWorkFailsLoudly) {
+  auto run = [](int global_clients, int64_t target) {
+    Mdbs system(MdbsConfig::Mixed(AllProtocolMix(), SchemeKind::kScheme3));
+    DriverConfig driver;
+    driver.global_clients = global_clients;
+    driver.local_clients_per_site = 1;
+    driver.target_global_commits = target;
+    RunDriver(&system, driver, 1);
+  };
+  EXPECT_DEATH(run(0, 10), "global_clients >= 1");
+  EXPECT_DEATH(run(-3, 10), "global_clients >= 1");
+  EXPECT_DEATH(run(1, 0), "target_global_commits >= 1");
 }
 
 // --------------------------------------------------------------------------

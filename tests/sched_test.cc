@@ -127,13 +127,6 @@ TEST_F(RecorderFixture, CountsOutcomes) {
   EXPECT_EQ(recorder.FindTxn(kT3)->outcome, TxnOutcome::kActive);
 }
 
-TEST_F(RecorderFixture, TxnsAtSiteFilters) {
-  Begin(kT1, kS0);
-  Begin(kT2, kS1);
-  EXPECT_EQ(recorder.TxnsAtSite(kS0).size(), 1u);
-  EXPECT_EQ(recorder.TxnsAtSite(kS1).size(), 1u);
-}
-
 // --------------------------------------------------------------------------
 // Local serializability checking — classic textbook schedules
 // --------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Differential test between the two execution engines: one workload
-// configuration, run once through the deterministic simulator (RunDriver)
-// and once through real threads (RunThreadedDriver), must agree on the
+// configuration, run by RunDriver once in the deterministic simulator and
+// once on real strands (MdbsConfig::threaded), must agree on the
 // audit verdict — clean under both — and both complete the target number
 // of global transactions. Ticks mean virtual time in the first run and
 // real microseconds in the second; the configuration carries over
@@ -11,7 +11,6 @@
 
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
-#include "mdbs/threaded_driver.h"
 
 namespace mdbs {
 namespace {
@@ -29,7 +28,7 @@ MdbsConfig SystemConfig(SchemeKind scheme, bool threaded) {
   config.seed = 17;
   config.threaded = threaded;
   // Identical in both engines, but sized for the threaded one: with ~20
-  // client threads on one core a thread can starve past the default 200ms
+  // clients on one core a strand can starve past the default 200ms
   // attempt timeout, and repeated timeouts read as `global_failed` noise.
   // 2s keeps the cross-site-deadlock escape hatch without the starvation
   // flake, so `global_failed == 0` stays a strict differential claim.
@@ -64,7 +63,7 @@ TEST_P(ThreadedVsSim, EnginesAgreeOnOutcomeAndAuditVerdict) {
 
   Mdbs threaded_system(SystemConfig(GetParam(), /*threaded=*/true));
   DriverReport threaded_report =
-      RunThreadedDriver(&threaded_system, workload, 23);
+      RunDriver(&threaded_system, workload, 23);
 
   for (const DriverReport* report : {&sim_report, &threaded_report}) {
     EXPECT_GE(report->global_committed, workload.target_global_commits);
@@ -84,7 +83,7 @@ TEST(ThreadedEngineTest, ReportsWallClockThroughput) {
   Mdbs system(SystemConfig(SchemeKind::kScheme3, /*threaded=*/true));
   DriverConfig workload = Workload();
   workload.target_global_commits = 10;
-  DriverReport report = RunThreadedDriver(&system, workload, 5);
+  DriverReport report = RunDriver(&system, workload, 5);
   EXPECT_GE(report.global_committed, 10);
   EXPECT_GT(report.duration, 0);  // Real microseconds elapsed.
   EXPECT_GT(report.global_throughput, 0);  // Committed txns per second.
