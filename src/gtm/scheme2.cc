@@ -213,6 +213,11 @@ bool Scheme2::DecodeState(const uint8_t* data, size_t size) {
     GlobalTxnId from(c.I64());
     GlobalTxnId to(c.I64());
     if (!c.ok()) return false;
+    auto has_edge = [&](GlobalTxnId txn) {
+      const std::vector<SiteId>& sites = tsgd_.SitesOf(txn);
+      return std::binary_search(sites.begin(), sites.end(), site);
+    };
+    if (!has_edge(from) || !has_edge(to)) return false;
     tsgd_.AddDependency(site, from, to);
   }
   uint32_t n_executed = c.U32();

@@ -1,99 +1,211 @@
 #include "gtm/tsgd.h"
 
 #include <algorithm>
+#include <bit>
+#include <map>
+#include <set>
 #include <string>
 
 #include "common/logging.h"
 
 namespace mdbs::gtm {
 
+namespace {
+
+const std::vector<SiteId>& NoSites() {
+  static const std::vector<SiteId>& empty = *new std::vector<SiteId>();
+  return empty;
+}
+
+const std::vector<GlobalTxnId>& NoTxns() {
+  static const std::vector<GlobalTxnId>& empty =
+      *new std::vector<GlobalTxnId>();
+  return empty;
+}
+
+void InsertSorted(std::vector<GlobalTxnId>* list, GlobalTxnId txn) {
+  list->insert(std::lower_bound(list->begin(), list->end(), txn), txn);
+}
+
+void EraseSorted(std::vector<GlobalTxnId>* list, GlobalTxnId txn) {
+  auto it = std::lower_bound(list->begin(), list->end(), txn);
+  MDBS_CHECK(it != list->end() && *it == txn) << txn << " not in list";
+  list->erase(it);
+}
+
+void EraseUnsorted(std::vector<GlobalTxnId>* list, GlobalTxnId txn) {
+  auto it = std::find(list->begin(), list->end(), txn);
+  MDBS_CHECK(it != list->end()) << txn << " not in list";
+  *it = list->back();
+  list->pop_back();
+}
+
+}  // namespace
+
+uint32_t Tsgd::SiteIndex(SiteId site) const {
+  auto it = site_index_.find(site);
+  return it == site_index_.end() ? kNone : it->second;
+}
+
+uint32_t Tsgd::Slot(GlobalTxnId txn) const {
+  auto it = slot_of_.find(txn);
+  return it == slot_of_.end() ? kNone : it->second;
+}
+
+uint32_t Tsgd::EdgeOf(const Node& node, uint32_t u) {
+  for (uint32_t e = 0; e < node.site_index.size(); ++e) {
+    if (node.site_index[e] == u) return e;
+  }
+  return kNone;
+}
+
+void Tsgd::SetBit(uint32_t u, uint32_t from, uint32_t to, bool value) {
+  uint64_t& word = sites_[u].deps[size_t{to} * words_ + from / 64];
+  uint64_t mask = uint64_t{1} << (from % 64);
+  word = value ? (word | mask) : (word & ~mask);
+}
+
+void Tsgd::Reserve(uint32_t capacity) {
+  if (capacity <= capacity_) return;
+  uint32_t grown = std::max<uint32_t>(64, capacity_);
+  while (grown < capacity) grown *= 2;
+  uint32_t words = grown / 64;
+  for (SiteNode& site : sites_) {
+    std::vector<uint64_t> deps(size_t{grown} * words, 0);
+    for (uint32_t row = 0; row < capacity_; ++row) {
+      std::copy_n(site.deps.begin() + size_t{row} * words_, words_,
+                  deps.begin() + size_t{row} * words);
+    }
+    site.deps = std::move(deps);
+  }
+  capacity_ = grown;
+  words_ = words;
+  // The marks only live within one Eliminate_Cycles call: re-lay them out
+  // empty.
+  used_.assign(sites_.size() * capacity_, 0);
+  in_delta_.assign(sites_.size() * capacity_, 0);
+  epoch_ = 0;
+}
+
 void Tsgd::InsertTxn(GlobalTxnId txn, const std::vector<SiteId>& sites) {
-  MDBS_CHECK(!txns_.contains(txn)) << txn << " already in TSGD";
-  std::vector<SiteId> sorted = sites;
-  std::sort(sorted.begin(), sorted.end());
-  txns_[txn] = std::move(sorted);
-  for (SiteId site : txns_[txn]) sites_[site].insert(txn);
+  MDBS_CHECK(!slot_of_.contains(txn)) << txn << " already in TSGD";
+  uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+    Reserve(slot + 1);
+  }
+  slot_of_.emplace(txn, slot);
+  Node& node = nodes_[slot];
+  node.id = txn;
+  node.sites = sites;
+  std::sort(node.sites.begin(), node.sites.end());
+  MDBS_CHECK(std::adjacent_find(node.sites.begin(), node.sites.end()) ==
+             node.sites.end())
+      << txn << " lists a site twice";
+  node.site_index.clear();
+  node.into.resize(node.sites.size());
+  node.out.resize(node.sites.size());
+  for (SiteId site : node.sites) {
+    uint32_t u = SiteIndex(site);
+    if (u == kNone) {
+      u = static_cast<uint32_t>(sites_.size());
+      site_index_.emplace(site, u);
+      SiteNode& fresh = sites_.emplace_back();
+      fresh.id = site;
+      fresh.deps.assign(size_t{capacity_} * words_, 0);
+      used_.resize(sites_.size() * capacity_, 0);
+      in_delta_.resize(sites_.size() * capacity_, 0);
+    }
+    node.site_index.push_back(u);
+    SiteNode& at = sites_[u];
+    auto pos = std::lower_bound(at.txns.begin(), at.txns.end(), txn);
+    at.slots.insert(at.slots.begin() + (pos - at.txns.begin()), slot);
+    at.txns.insert(pos, txn);
+  }
 }
 
 void Tsgd::RemoveTxn(GlobalTxnId txn) {
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) return;
-  for (SiteId site : it->second) {
-    auto site_it = sites_.find(site);
-    if (site_it != sites_.end()) {
-      site_it->second.erase(txn);
-      if (site_it->second.empty()) sites_.erase(site_it);
-    }
+  uint32_t slot = Slot(txn);
+  if (slot == kNone) return;
+  Node& node = nodes_[slot];
+  for (uint32_t e = 0; e < node.sites.size(); ++e) {
+    uint32_t u = node.site_index[e];
     // Drop dependencies at this site that involve txn, both directions.
-    auto drop = [&](auto& primary, auto& mirror, GlobalTxnId key) {
-      auto map_it = primary.find(site);
-      if (map_it == primary.end()) return;
-      auto entry_it = map_it->second.find(key);
-      if (entry_it == map_it->second.end()) return;
-      for (GlobalTxnId other : entry_it->second) {
-        auto mirror_it = mirror.find(site);
-        if (mirror_it != mirror.end()) {
-          auto other_it = mirror_it->second.find(other);
-          if (other_it != mirror_it->second.end()) {
-            other_it->second.erase(txn);
-            if (other_it->second.empty()) {
-              mirror_it->second.erase(other_it);
-            }
-          }
-        }
-        --dep_count_;
-      }
-      map_it->second.erase(entry_it);
-    };
-    drop(deps_into_, deps_from_, txn);
-    drop(deps_from_, deps_into_, txn);
+    for (GlobalTxnId source : node.into[e]) {
+      Node& other = nodes_[Slot(source)];
+      EraseUnsorted(&other.out[EdgeOf(other, u)], txn);
+      SetBit(u, Slot(source), slot, false);
+      --dep_count_;
+    }
+    for (GlobalTxnId target : node.out[e]) {
+      Node& other = nodes_[Slot(target)];
+      EraseSorted(&other.into[EdgeOf(other, u)], txn);
+      SetBit(u, slot, Slot(target), false);
+      --dep_count_;
+    }
+    node.into[e].clear();
+    node.out[e].clear();
+    SiteNode& at = sites_[u];
+    auto pos = std::lower_bound(at.txns.begin(), at.txns.end(), txn);
+    at.slots.erase(at.slots.begin() + (pos - at.txns.begin()));
+    at.txns.erase(pos);
   }
-  txns_.erase(it);
+  node.id = GlobalTxnId();
+  slot_of_.erase(txn);
+  free_slots_.push_back(slot);
 }
 
 const std::vector<SiteId>& Tsgd::SitesOf(GlobalTxnId txn) const {
-  static const std::vector<SiteId>& empty = *new std::vector<SiteId>();
-  auto it = txns_.find(txn);
-  return it == txns_.end() ? empty : it->second;
+  uint32_t slot = Slot(txn);
+  return slot == kNone ? NoSites() : nodes_[slot].sites;
 }
 
-const std::set<GlobalTxnId>& Tsgd::TxnsAt(SiteId site) const {
-  static const std::set<GlobalTxnId>& empty = *new std::set<GlobalTxnId>();
-  auto it = sites_.find(site);
-  return it == sites_.end() ? empty : it->second;
+const std::vector<GlobalTxnId>& Tsgd::TxnsAt(SiteId site) const {
+  uint32_t u = SiteIndex(site);
+  return u == kNone ? NoTxns() : sites_[u].txns;
 }
 
 void Tsgd::AddDependency(SiteId site, GlobalTxnId from, GlobalTxnId to) {
   MDBS_CHECK(from != to) << "self-dependency on " << from;
-  if (deps_into_[site][to].insert(from).second) {
-    deps_from_[site][from].insert(to);
-    ++dep_count_;
-  }
+  uint32_t u = SiteIndex(site);
+  uint32_t f = Slot(from);
+  uint32_t t = Slot(to);
+  MDBS_CHECK(u != kNone && f != kNone && t != kNone)
+      << "dependency " << from << " -> " << to << " at " << site
+      << " names an unknown transaction or site";
+  uint32_t from_edge = EdgeOf(nodes_[f], u);
+  uint32_t to_edge = EdgeOf(nodes_[t], u);
+  MDBS_CHECK(from_edge != kNone && to_edge != kNone)
+      << "dependency " << from << " -> " << to << " at " << site
+      << " involves a transaction with no edge at the site";
+  if (Bit(u, f, t)) return;
+  SetBit(u, f, t, true);
+  InsertSorted(&nodes_[t].into[to_edge], from);
+  nodes_[f].out[from_edge].push_back(to);
+  ++dep_count_;
 }
 
 bool Tsgd::HasDependency(SiteId site, GlobalTxnId from,
                          GlobalTxnId to) const {
-  auto site_it = deps_into_.find(site);
-  if (site_it == deps_into_.end()) return false;
-  auto to_it = site_it->second.find(to);
-  return to_it != site_it->second.end() && to_it->second.contains(from);
+  uint32_t u = SiteIndex(site);
+  uint32_t f = Slot(from);
+  uint32_t t = Slot(to);
+  return u != kNone && f != kNone && t != kNone && Bit(u, f, t);
 }
 
-std::vector<GlobalTxnId> Tsgd::DependenciesInto(GlobalTxnId txn,
-                                                SiteId site) const {
-  auto site_it = deps_into_.find(site);
-  if (site_it == deps_into_.end()) return {};
-  auto to_it = site_it->second.find(txn);
-  if (to_it == site_it->second.end()) return {};
-  return std::vector<GlobalTxnId>(to_it->second.begin(),
-                                  to_it->second.end());
-}
-
-bool Tsgd::HasDependenciesInto(GlobalTxnId txn, SiteId site) const {
-  auto site_it = deps_into_.find(site);
-  if (site_it == deps_into_.end()) return false;
-  auto to_it = site_it->second.find(txn);
-  return to_it != site_it->second.end() && !to_it->second.empty();
+const std::vector<GlobalTxnId>& Tsgd::DependenciesInto(GlobalTxnId txn,
+                                                       SiteId site) const {
+  uint32_t slot = Slot(txn);
+  if (slot == kNone) return NoTxns();
+  const Node& node = nodes_[slot];
+  for (uint32_t e = 0; e < node.sites.size(); ++e) {
+    if (node.sites[e] == site) return node.into[e];
+  }
+  return NoTxns();
 }
 
 namespace {
@@ -126,81 +238,127 @@ bool DepCycleSearch(
 }  // namespace
 
 Status Tsgd::Validate() const {
-  // Adjacency mirror: txns_ <-> sites_.
-  for (const auto& [txn, sites] : txns_) {
-    for (SiteId site : sites) {
-      auto site_it = sites_.find(site);
-      if (site_it == sites_.end() || !site_it->second.contains(txn)) {
-        return Status::Internal("TSGD: edge (" + ToString(txn) + ", " +
-                                ToString(site) +
-                                ") missing from the site side");
+  auto edge_name = [](GlobalTxnId txn, SiteId site) {
+    return "(" + ToString(txn) + ", " + ToString(site) + ")";
+  };
+  // Slots: the id index and the node table agree.
+  size_t live = 0;
+  for (uint32_t slot = 0; slot < nodes_.size(); ++slot) {
+    const Node& node = nodes_[slot];
+    if (!node.id.valid()) continue;
+    ++live;
+    if (Slot(node.id) != slot) {
+      return Status::Internal("TSGD: slot of " + ToString(node.id) +
+                              " is not indexed");
+    }
+  }
+  if (live != slot_of_.size() ||
+      live + free_slots_.size() != nodes_.size()) {
+    return Status::Internal("TSGD: " + std::to_string(slot_of_.size()) +
+                            " indexed txns, " + std::to_string(live) +
+                            " live and " +
+                            std::to_string(free_slots_.size()) +
+                            " free slots of " +
+                            std::to_string(nodes_.size()));
+  }
+  // Adjacency mirror: every txn edge is a site member and vice versa, and
+  // both sides are sorted.
+  size_t txn_edges = 0;
+  for (const Node& node : nodes_) {
+    if (!node.id.valid()) continue;
+    if (!std::is_sorted(node.sites.begin(), node.sites.end())) {
+      return Status::Internal("TSGD: sites of " + ToString(node.id) +
+                              " out of order");
+    }
+    for (uint32_t e = 0; e < node.sites.size(); ++e) {
+      ++txn_edges;
+      uint32_t u = node.site_index[e];
+      if (u >= sites_.size() || sites_[u].id != node.sites[e] ||
+          !std::binary_search(sites_[u].txns.begin(), sites_[u].txns.end(),
+                              node.id)) {
+        return Status::Internal("TSGD: edge " +
+                                edge_name(node.id, node.sites[e]) +
+                                " missing from the site side");
       }
     }
   }
-  for (const auto& [site, txns] : sites_) {
-    if (txns.empty()) {
-      return Status::Internal("TSGD: empty bucket retained for " +
-                              ToString(site));
+  size_t site_edges = 0;
+  for (uint32_t u = 0; u < sites_.size(); ++u) {
+    const SiteNode& site = sites_[u];
+    if (!std::is_sorted(site.txns.begin(), site.txns.end()) ||
+        site.txns.size() != site.slots.size()) {
+      return Status::Internal("TSGD: members of " + ToString(site.id) +
+                              " out of order");
     }
-    for (GlobalTxnId txn : txns) {
-      auto txn_it = txns_.find(txn);
-      if (txn_it == txns_.end() ||
-          !std::binary_search(txn_it->second.begin(), txn_it->second.end(),
-                              site)) {
-        return Status::Internal("TSGD: edge (" + ToString(txn) + ", " +
-                                ToString(site) +
-                                ") missing from the txn side");
+    for (size_t i = 0; i < site.txns.size(); ++i) {
+      ++site_edges;
+      if (Slot(site.txns[i]) != site.slots[i] ||
+          EdgeOf(nodes_[site.slots[i]], u) == kNone) {
+        return Status::Internal("TSGD: edge " +
+                                edge_name(site.txns[i], site.id) +
+                                " missing from the txn side");
       }
     }
   }
-  // Dependencies: endpoints share the site, mirrors agree, counts match.
+  if (txn_edges != site_edges) {
+    return Status::Internal("TSGD: " + std::to_string(txn_edges) +
+                            " txn-side edges != " +
+                            std::to_string(site_edges) + " site-side edges");
+  }
+  // Dependencies: endpoints share the site, the incoming lists, outgoing
+  // lists and bit matrices mirror each other, counts match.
   size_t into_count = 0;
-  for (const auto& [site, by_to] : deps_into_) {
-    for (const auto& [to, froms] : by_to) {
-      for (GlobalTxnId from : froms) {
-        ++into_count;
-        for (GlobalTxnId end : {from, to}) {
-          auto site_it = sites_.find(site);
-          if (site_it == sites_.end() || !site_it->second.contains(end)) {
-            return Status::Internal(
-                "TSGD: dependency (" + ToString(from) + ", " +
-                ToString(site) + ") -> (" + ToString(site) + ", " +
-                ToString(to) + ") involves " + ToString(end) +
-                " which has no edge at the site");
-          }
+  size_t out_count = 0;
+  for (const Node& node : nodes_) {
+    if (!node.id.valid()) continue;
+    for (uint32_t e = 0; e < node.sites.size(); ++e) {
+      uint32_t u = node.site_index[e];
+      SiteId site = node.sites[e];
+      if (!std::is_sorted(node.into[e].begin(), node.into[e].end())) {
+        return Status::Internal("TSGD: dependencies into " +
+                                edge_name(node.id, site) + " out of order");
+      }
+      into_count += node.into[e].size();
+      out_count += node.out[e].size();
+      for (GlobalTxnId from : node.into[e]) {
+        uint32_t f = Slot(from);
+        if (f == kNone || EdgeOf(nodes_[f], u) == kNone) {
+          return Status::Internal(
+              "TSGD: dependency (" + ToString(from) + ", " +
+              ToString(site) + ") -> (" + ToString(site) + ", " +
+              ToString(node.id) + ") involves " + ToString(from) +
+              " which has no edge at the site");
         }
-        auto from_site_it = deps_from_.find(site);
-        if (from_site_it == deps_from_.end() ||
-            !from_site_it->second.contains(from) ||
-            !from_site_it->second.at(from).contains(to)) {
+        const std::vector<GlobalTxnId>& out =
+            nodes_[f].out[EdgeOf(nodes_[f], u)];
+        if (std::find(out.begin(), out.end(), node.id) == out.end() ||
+            !Bit(u, f, Slot(node.id))) {
           return Status::Internal("TSGD: dependency (" + ToString(from) +
-                                  " -> " + ToString(to) + " at " +
+                                  " -> " + ToString(node.id) + " at " +
                                   ToString(site) +
-                                  ") missing from deps_from_");
+                                  ") missing from the from side");
         }
       }
     }
   }
-  size_t from_count = 0;
-  for (const auto& [site, by_from] : deps_from_) {
-    (void)site;
-    for (const auto& [from, tos] : by_from) {
-      (void)from;
-      from_count += tos.size();
-    }
+  size_t bit_count = 0;
+  for (const SiteNode& site : sites_) {
+    for (uint64_t word : site.deps) bit_count += std::popcount(word);
   }
-  if (into_count != dep_count_ || from_count != dep_count_) {
+  if (into_count != dep_count_ || out_count != dep_count_ ||
+      bit_count != dep_count_) {
     return Status::Internal(
         "TSGD: dependency count " + std::to_string(dep_count_) +
         " != into-side " + std::to_string(into_count) + " / from-side " +
-        std::to_string(from_count));
+        std::to_string(out_count) + " / matrix " +
+        std::to_string(bit_count));
   }
   // The directed dependency relation, across all sites, must be acyclic.
   std::map<GlobalTxnId, std::set<GlobalTxnId>> succ;
-  for (const auto& [site, by_from] : deps_from_) {
-    (void)site;
-    for (const auto& [from, tos] : by_from) {
-      succ[from].insert(tos.begin(), tos.end());
+  for (const Node& node : nodes_) {
+    if (!node.id.valid()) continue;
+    for (const std::vector<GlobalTxnId>& tos : node.out) {
+      if (!tos.empty()) succ[node.id].insert(tos.begin(), tos.end());
     }
   }
   std::set<GlobalTxnId> done;
@@ -258,68 +416,85 @@ bool Tsgd::HasCycleInvolving(GlobalTxnId txn) const {
   return CycleSearch(txn, txn, &txns_on_path, &sites_on_path);
 }
 
+void Tsgd::NewEpoch() const {
+  if (++epoch_ == 0) {
+    std::fill(used_.begin(), used_.end(), 0);
+    std::fill(in_delta_.begin(), in_delta_.end(), 0);
+    epoch_ = 1;
+  }
+}
+
 std::vector<Dependency> Tsgd::EliminateCycles(GlobalTxnId origin,
                                               int64_t* steps) const {
-  // Figure 4 of the paper, with std::vector-as-stack lists (back == head).
-  // The procedure walks the TSGD from `origin` in reverse serialization
-  // direction; whenever a walk can close back into `origin` through site u
-  // from transaction v, the dependency (v, u) -> (u, origin) is added to Δ,
-  // committing v before origin at u and thereby breaking that cycle.
+  // Figure 4 of the paper. The procedure walks the TSGD from `origin` in
+  // reverse serialization direction; whenever a walk can close back into
+  // `origin` through site u from transaction v, the dependency
+  // (v, u) -> (u, origin) is added to Δ, committing v before origin at u
+  // and thereby breaking that cycle.
+  //
+  // Figure 4 rescans v's candidate pairs (v,u),(u,w) from the first one
+  // each time it returns to v. Every reason to skip a candidate only grows
+  // within one call — w == v, (u,w) already used, a dependency v -> w at u,
+  // (u, v, origin) already in Δ — so every candidate before the one last
+  // taken would be skipped again. Each frame therefore resumes at its
+  // cursor: the same moves, the same Δ in the same order, without the
+  // re-examinations.
   std::vector<Dependency> delta;
-  std::set<std::tuple<int64_t, int64_t, int64_t>> delta_index;  // (u, v, w)
-  std::set<std::pair<int64_t, int64_t>> used;                   // (u, w)
-  std::unordered_map<GlobalTxnId, std::vector<SiteId>> s_par;
-  std::unordered_map<GlobalTxnId, std::vector<GlobalTxnId>> t_par;
-
-  auto in_delta = [&](SiteId u, GlobalTxnId v, GlobalTxnId w) {
-    return delta_index.contains({u.value(), v.value(), w.value()});
-  };
-
-  GlobalTxnId v = origin;
+  const uint32_t o = Slot(origin);
+  if (o == kNone) return delta;
+  NewEpoch();
+  const uint32_t epoch = epoch_;
+  int64_t examined = 0;
+  frames_.clear();
+  frames_.push_back(Frame{o, kNone, 0, 0});
   int64_t guard = 0;
-  for (;;) {
+  while (!frames_.empty()) {
     MDBS_CHECK(++guard < (1 << 26)) << "Eliminate_Cycles runaway";
     // Steps 2-3: look for a traversable pair of edges (v,u),(u,w).
-    bool traversed = false;
-    for (SiteId u : SitesOf(v)) {
-      const auto& stack = s_par[v];
-      if (!stack.empty() && stack.back() == u) continue;  // Entry site.
-      for (GlobalTxnId w : TxnsAt(u)) {
-        if (steps != nullptr) ++*steps;
+    Frame& frame = frames_.back();
+    const uint32_t v = frame.v;
+    const Node& node = nodes_[v];
+    uint32_t next = kNone;  // The slot to descend into.
+    uint32_t next_site = kNone;
+    for (; frame.site < node.site_index.size();
+         ++frame.site, frame.member = 0) {
+      const uint32_t u = node.site_index[frame.site];
+      if (u == frame.entry) continue;
+      const SiteNode& site = sites_[u];
+      const size_t base = size_t{u} * capacity_;
+      while (frame.member < site.slots.size()) {
+        const uint32_t w = site.slots[frame.member++];
+        ++examined;
         if (w == v) continue;
-        if (w != origin && used.contains({u.value(), w.value()})) continue;
-        if (HasDependency(u, v, w) || in_delta(u, v, w)) continue;
-        used.insert({u.value(), w.value()});
-        if (w == origin) {
-          delta.push_back(Dependency{u, v, origin});
-          delta_index.insert({u.value(), v.value(), origin.value()});
-          // Stay at v and keep searching.
-        } else {
-          s_par[w].push_back(u);
-          t_par[w].push_back(v);
-          v = w;
+        if (w == o) {
+          if (in_delta_[base + v] == epoch || Bit(u, v, w)) continue;
+          in_delta_[base + v] = epoch;
+          delta.push_back(Dependency{site.id, node.id, origin});
+          continue;  // Stay at v and keep searching.
         }
-        traversed = true;
+        if (used_[base + w] == epoch || Bit(u, v, w)) continue;
+        used_[base + w] = epoch;
+        next = w;
+        next_site = u;
         break;
       }
-      if (traversed) break;
+      if (next != kNone) break;
     }
-    if (traversed) continue;
-    // Step 4: backtrack; step 5: done.
-    if (v == origin) break;
-    GlobalTxnId parent = t_par[v].back();
-    t_par[v].pop_back();
-    s_par[v].pop_back();
-    v = parent;
+    if (next != kNone) {
+      frames_.push_back(Frame{next, next_site, 0, 0});
+    } else {
+      // Step 4: backtrack; step 5: done once origin's frame is exhausted.
+      frames_.pop_back();
+    }
   }
+  if (steps != nullptr) *steps += examined;
   return delta;
 }
 
-
 std::vector<GlobalTxnId> Tsgd::Txns() const {
   std::vector<GlobalTxnId> txns;
-  txns.reserve(txns_.size());
-  for (const auto& [txn, sites] : txns_) txns.push_back(txn);
+  txns.reserve(slot_of_.size());
+  for (const auto& [txn, slot] : slot_of_) txns.push_back(txn);
   std::sort(txns.begin(), txns.end());
   return txns;
 }
@@ -327,9 +502,12 @@ std::vector<GlobalTxnId> Tsgd::Txns() const {
 std::vector<Dependency> Tsgd::AllDependencies() const {
   std::vector<Dependency> deps;
   deps.reserve(dep_count_);
-  for (const auto& [site, from_map] : deps_from_) {
-    for (const auto& [from, tos] : from_map) {
-      for (GlobalTxnId to : tos) deps.push_back(Dependency{site, from, to});
+  for (const Node& node : nodes_) {
+    if (!node.id.valid()) continue;
+    for (uint32_t e = 0; e < node.sites.size(); ++e) {
+      for (GlobalTxnId to : node.out[e]) {
+        deps.push_back(Dependency{node.sites[e], node.id, to});
+      }
     }
   }
   std::sort(deps.begin(), deps.end(), [](const Dependency& a,

@@ -2,10 +2,8 @@
 #define MDBS_GTM_TSGD_H_
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -38,6 +36,13 @@ struct Dependency {
 /// potential serialization cycle that would order its transactions the
 /// other way; with no dependencies at all, every graph cycle is a TSGD
 /// cycle, degenerating to Scheme 1's TSG.
+///
+/// Layout (DESIGN.md §2): live transactions occupy dense, reused slots and
+/// sites dense indices. Each site keeps its members id-sorted and a bit
+/// matrix of its dependencies (row = `to` slot, column = `from` slot), so
+/// the dependency test is one bit; each (txn, site) edge keeps its incoming
+/// sources id-sorted and its outgoing targets, for in-place iteration and
+/// removal.
 class Tsgd {
  public:
   /// Inserts `txn` with one edge per site. `txn` must be absent.
@@ -46,31 +51,38 @@ class Tsgd {
   /// Removes `txn`, its edges, and every dependency involving it.
   void RemoveTxn(GlobalTxnId txn);
 
-  bool HasTxn(GlobalTxnId txn) const { return txns_.contains(txn); }
+  bool HasTxn(GlobalTxnId txn) const { return slot_of_.contains(txn); }
+  /// The sites of `txn`, in id order (empty when absent).
   const std::vector<SiteId>& SitesOf(GlobalTxnId txn) const;
   /// Transactions with an edge at `site`, in id order (deterministic).
-  const std::set<GlobalTxnId>& TxnsAt(SiteId site) const;
+  const std::vector<GlobalTxnId>& TxnsAt(SiteId site) const;
 
+  /// Adds (from, site) -> (site, to). Both transactions must have an edge
+  /// at `site`; adding a present dependency is a no-op.
   void AddDependency(SiteId site, GlobalTxnId from, GlobalTxnId to);
   bool HasDependency(SiteId site, GlobalTxnId from, GlobalTxnId to) const;
-  /// Sources of dependencies (·, site) -> (site, txn).
-  std::vector<GlobalTxnId> DependenciesInto(GlobalTxnId txn,
-                                            SiteId site) const;
-  bool HasDependenciesInto(GlobalTxnId txn, SiteId site) const;
+  /// Sources of dependencies (·, site) -> (site, txn), in id order. The
+  /// reference is valid until the next mutation.
+  const std::vector<GlobalTxnId>& DependenciesInto(GlobalTxnId txn,
+                                                   SiteId site) const;
+  bool HasDependenciesInto(GlobalTxnId txn, SiteId site) const {
+    return !DependenciesInto(txn, site).empty();
+  }
 
-  size_t TxnCount() const { return txns_.size(); }
+  size_t TxnCount() const { return slot_of_.size(); }
   size_t DependencyCount() const { return dep_count_; }
 
   /// Transaction nodes in id order (deterministic snapshot encoding).
   std::vector<GlobalTxnId> Txns() const;
   /// Every dependency, sorted by (site, from, to). Together with Txns()/
   /// SitesOf this is the whole graph; rebuilding via InsertTxn +
-  /// AddDependency restores the derived maps.
+  /// AddDependency restores it.
   std::vector<Dependency> AllDependencies() const;
 
-  /// Structural self-check (audit layer): adjacency maps mirror each
-  /// other, every dependency connects two transactions that both have an
-  /// edge at its site, deps_into_/deps_from_ are exact mirrors, counts
+  /// Structural self-check (audit layer): the txn and site sides of every
+  /// edge mirror each other and are id-sorted, every dependency connects
+  /// two transactions that both have an edge at its site, the incoming
+  /// lists, outgoing lists and bit matrices are exact mirrors, counts
   /// match, and the *directed* dependency relation (from -> to, across all
   /// sites) is acyclic — a dependency cycle would deadlock cond(ser)/
   /// cond(fin) and can only arise when Eliminate_Cycles was skipped or
@@ -90,22 +102,70 @@ class Tsgd {
   /// need not be minimal (minimality is NP-hard, Theorem 7). The returned
   /// dependencies are NOT added to D; the caller decides.
   /// `steps`, when non-null, accumulates the pair-examinations performed.
+  /// Uses per-graph scratch space: not reentrant on one Tsgd.
   std::vector<Dependency> EliminateCycles(GlobalTxnId txn,
                                           int64_t* steps) const;
 
  private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// A live transaction. Its edges are parallel vectors in site-id order.
+  struct Node {
+    GlobalTxnId id;
+    std::vector<SiteId> sites;
+    std::vector<uint32_t> site_index;
+    /// Per edge: sources of incoming dependencies (id-sorted) and targets
+    /// of outgoing ones.
+    std::vector<std::vector<GlobalTxnId>> into;
+    std::vector<std::vector<GlobalTxnId>> out;
+  };
+  struct SiteNode {
+    SiteId id;
+    std::vector<GlobalTxnId> txns;  // Id-sorted.
+    std::vector<uint32_t> slots;    // Parallel to txns.
+    std::vector<uint64_t> deps;     // capacity_ rows of words_ words.
+  };
+  /// One frame of the Eliminate_Cycles walk: transaction slot `v`, entered
+  /// through site `entry`, resumes at (`site`, `member`).
+  struct Frame {
+    uint32_t v;
+    uint32_t entry;
+    uint32_t site;
+    uint32_t member;
+  };
+
+  uint32_t SiteIndex(SiteId site) const;
+  uint32_t Slot(GlobalTxnId txn) const;
+  /// The position of site index `u` among `node`'s edges, or kNone.
+  static uint32_t EdgeOf(const Node& node, uint32_t u);
+  bool Bit(uint32_t u, uint32_t from, uint32_t to) const {
+    return (sites_[u].deps[size_t{to} * words_ + from / 64] >> (from % 64)) &
+           1;
+  }
+  void SetBit(uint32_t u, uint32_t from, uint32_t to, bool value);
+  /// Grows the slot capacity (and every site's bit matrix) to `capacity`.
+  void Reserve(uint32_t capacity);
+  /// Starts a new epoch for the Eliminate_Cycles marks.
+  void NewEpoch() const;
   bool CycleSearch(GlobalTxnId origin, GlobalTxnId current,
                    std::set<GlobalTxnId>* txns_on_path,
                    std::set<SiteId>* sites_on_path) const;
 
-  std::unordered_map<GlobalTxnId, std::vector<SiteId>> txns_;
-  std::unordered_map<SiteId, std::set<GlobalTxnId>> sites_;
-  /// site -> (to -> {from}) and site -> (from -> {to}).
-  std::unordered_map<SiteId, std::map<GlobalTxnId, std::set<GlobalTxnId>>>
-      deps_into_;
-  std::unordered_map<SiteId, std::map<GlobalTxnId, std::set<GlobalTxnId>>>
-      deps_from_;
+  std::vector<Node> nodes_;  // By slot; free slots have an invalid id.
+  std::vector<uint32_t> free_slots_;
+  std::unordered_map<GlobalTxnId, uint32_t> slot_of_;
+  std::vector<SiteNode> sites_;  // By site index, never removed.
+  std::unordered_map<SiteId, uint32_t> site_index_;
+  uint32_t capacity_ = 0;  // Slots the bit matrices and marks can hold.
+  uint32_t words_ = 0;     // capacity_ / 64.
   size_t dep_count_ = 0;
+
+  /// Eliminate_Cycles scratch, reused across calls. A mark at
+  /// [u * capacity_ + slot] is set when it equals `epoch_`.
+  mutable std::vector<uint32_t> used_;      // (u, w) traversed.
+  mutable std::vector<uint32_t> in_delta_;  // (u, v, origin) in Δ.
+  mutable uint32_t epoch_ = 0;
+  mutable std::vector<Frame> frames_;
 };
 
 }  // namespace mdbs::gtm

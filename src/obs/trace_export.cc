@@ -10,8 +10,20 @@
 namespace mdbs::obs {
 namespace {
 
-/// tid 0 is the GTM track; site k renders as tid k + 1.
-int64_t TidFor(const TraceEvent& e) { return e.site >= 0 ? e.site + 2 : 1; }
+/// tid 1 is the GTM track; site k renders as tid k + 2. An event about a
+/// site goes on that site's track, except the scheme's own graph
+/// bookkeeping (Scheme 1 edge marks, Scheme 2 dependencies): that is GTM2
+/// work, so it stays on the GTM track and names the site in its args.
+int64_t TidFor(const TraceEvent& e) {
+  switch (e.kind) {
+    case TraceEventKind::kEdgeMark:
+    case TraceEventKind::kEdgeUnmark:
+    case TraceEventKind::kDepAdd:
+      return 1;
+    default:
+      return e.site >= 0 ? e.site + 2 : 1;
+  }
+}
 
 constexpr int64_t kPid = 1;
 

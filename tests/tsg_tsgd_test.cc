@@ -1,3 +1,9 @@
+#include <set>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -228,6 +234,193 @@ TEST(EliminateCyclesTest, CountsSteps) {
   int64_t steps = 0;
   tsgd.EliminateCycles(kG2, &steps);
   EXPECT_GT(steps, 0);
+}
+
+// The Figure 4 walk as it reads in the paper: every return to a frame
+// rescans that frame's candidates from its first site. It is the reference
+// for Tsgd::EliminateCycles, which resumes each frame at its cursor instead
+// and must make the same moves. Besides Δ it reports every examination
+// (`steps`), the examinations that were a frame's first look at a candidate
+// (`first_looks`, what the resuming walk should count), and how often the
+// walk entered a transaction that was already on its path.
+struct ReferenceWalk {
+  std::vector<Dependency> delta;
+  int64_t steps = 0;
+  int64_t first_looks = 0;
+  int64_t reentries = 0;
+};
+
+ReferenceWalk RescanningEliminateCycles(const Tsgd& tsgd,
+                                        GlobalTxnId origin) {
+  ReferenceWalk walk;
+  std::set<std::tuple<int64_t, int64_t, int64_t>> delta_index;  // (u, v, w)
+  std::set<std::pair<int64_t, int64_t>> used;                   // (u, w)
+  std::unordered_map<GlobalTxnId, std::vector<SiteId>> s_par;
+  std::unordered_map<GlobalTxnId, std::vector<GlobalTxnId>> t_par;
+  // Per frame on the path: the (u, w) candidates it has looked at.
+  std::vector<std::set<std::pair<int64_t, int64_t>>> looked(1);
+
+  GlobalTxnId v = origin;
+  for (;;) {
+    bool traversed = false;
+    for (SiteId u : tsgd.SitesOf(v)) {
+      const auto& stack = s_par[v];
+      if (!stack.empty() && stack.back() == u) continue;  // Entry site.
+      for (GlobalTxnId w : tsgd.TxnsAt(u)) {
+        ++walk.steps;
+        if (looked.back().insert({u.value(), w.value()}).second) {
+          ++walk.first_looks;
+        }
+        if (w == v) continue;
+        if (w != origin && used.contains({u.value(), w.value()})) continue;
+        if (tsgd.HasDependency(u, v, w) ||
+            delta_index.contains({u.value(), v.value(), w.value()})) {
+          continue;
+        }
+        used.insert({u.value(), w.value()});
+        if (w == origin) {
+          walk.delta.push_back(Dependency{u, v, origin});
+          delta_index.insert({u.value(), v.value(), origin.value()});
+        } else {
+          if (!s_par[w].empty()) ++walk.reentries;
+          s_par[w].push_back(u);
+          t_par[w].push_back(v);
+          looked.emplace_back();
+          v = w;
+        }
+        traversed = true;
+        break;
+      }
+      if (traversed) break;
+    }
+    if (traversed) continue;
+    if (v == origin) break;
+    GlobalTxnId parent = t_par[v].back();
+    t_par[v].pop_back();
+    s_par[v].pop_back();
+    looked.pop_back();
+    v = parent;
+  }
+  return walk;
+}
+
+std::string DeltaString(const std::vector<Dependency>& delta) {
+  std::string text;
+  for (const Dependency& dep : delta) {
+    text += "(" + ToString(dep.from) + "," + ToString(dep.site) + ")->" +
+            ToString(dep.to) + " ";
+  }
+  return text;
+}
+
+// Differential test: on random TSGDs — up to 64 transactions over 2-8
+// sites, dense enough that the walk re-enters transactions through other
+// sites, with random acyclic dependency sets — the resuming walk returns
+// the reference's Δ in the reference's order, and counts exactly the
+// reference's first looks. Several origins per graph and a remove/insert
+// in between exercise the reused marks and slots.
+TEST(EliminateCyclesTest, ResumingWalkMatchesTheRescanningReference) {
+  Rng rng(1992);
+  int64_t reentries = 0;
+  int64_t nonempty = 0;
+  int64_t steps_total = 0;
+  int64_t reference_steps_total = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    Tsgd tsgd;
+    int sites = static_cast<int>(rng.NextInRange(2, 8));
+    int txns = static_cast<int>(rng.NextInRange(2, 64));
+    double density = 0.15 + 0.5 * rng.NextDouble();
+    auto random_sites = [&]() {
+      std::vector<SiteId> chosen;
+      for (int s = 0; s < sites; ++s) {
+        if (rng.NextBernoulli(density)) chosen.push_back(SiteId(s));
+      }
+      if (chosen.size() < 2) chosen = {SiteId(0), SiteId(sites - 1)};
+      return chosen;
+    };
+    for (int t = 0; t < txns; ++t) {
+      tsgd.InsertTxn(GlobalTxnId(t), random_sites());
+    }
+    // Acyclic: every dependency follows one random priority order.
+    std::vector<GlobalTxnId> priority = tsgd.Txns();
+    rng.Shuffle(&priority);
+    std::unordered_map<GlobalTxnId, size_t> rank;
+    for (size_t i = 0; i < priority.size(); ++i) rank[priority[i]] = i;
+    double dep_p = rng.NextDouble() * 0.4;
+    for (int s = 0; s < sites; ++s) {
+      const std::vector<GlobalTxnId>& at = tsgd.TxnsAt(SiteId(s));
+      std::vector<GlobalTxnId> members(at.begin(), at.end());
+      for (GlobalTxnId a : members) {
+        for (GlobalTxnId b : members) {
+          if (rank[a] < rank[b] && rng.NextBernoulli(dep_p)) {
+            tsgd.AddDependency(SiteId(s), a, b);
+          }
+        }
+      }
+    }
+    ASSERT_TRUE(tsgd.Validate().ok()) << tsgd.Validate();
+    for (int call = 0; call < 4; ++call) {
+      if (call == 2) {
+        // Free a slot and fill it again with a different site set.
+        GlobalTxnId moved(static_cast<int64_t>(rng.NextBelow(txns)));
+        tsgd.RemoveTxn(moved);
+        tsgd.InsertTxn(moved, random_sites());
+      }
+      GlobalTxnId origin(static_cast<int64_t>(rng.NextBelow(txns)));
+      ReferenceWalk reference = RescanningEliminateCycles(tsgd, origin);
+      int64_t steps = 0;
+      std::vector<Dependency> delta = tsgd.EliminateCycles(origin, &steps);
+      ASSERT_EQ(DeltaString(delta), DeltaString(reference.delta))
+          << "trial " << trial << " call " << call;
+      ASSERT_EQ(steps, reference.first_looks)
+          << "trial " << trial << " call " << call;
+      ASSERT_LE(steps, reference.steps);
+      reentries += reference.reentries;
+      nonempty += delta.empty() ? 0 : 1;
+      steps_total += steps;
+      reference_steps_total += reference.steps;
+    }
+  }
+  // The battery reaches the cases the cursor argument is about.
+  EXPECT_GT(reentries, 100);
+  EXPECT_GT(nonempty, 500);
+  EXPECT_LT(steps_total, reference_steps_total);
+}
+
+// Pinned counts on hand-traced graphs. G1 and G2 at sites A and B, walk
+// from G2: G2 -A-> G1 (1 look); at G1, B offers G1 (skip) and G2 (Δ gets
+// (G1,B)->G2) — 3; back at G2, A's G2 — 4; B's G1 -B-> G1 — 5; at G1, A
+// offers G1 and G2 (Δ gets (G1,A)->G2) — 7; back at G2, B's G2 — 8.
+// Rescanning every frame from its first site costs 16.
+TEST(EliminateCyclesTest, ResumingWalkStepsArePinned) {
+  Tsgd tsgd;
+  tsgd.InsertTxn(kG1, {kA, kB});
+  tsgd.InsertTxn(kG2, {kA, kB});
+  int64_t steps = 0;
+  std::vector<Dependency> delta = tsgd.EliminateCycles(kG2, &steps);
+  EXPECT_EQ(steps, 8);
+  EXPECT_EQ(RescanningEliminateCycles(tsgd, kG2).steps, 16);
+  ASSERT_EQ(delta.size(), 2u);
+  EXPECT_EQ(delta[0], (Dependency{kB, kG1, kG2}));
+  EXPECT_EQ(delta[1], (Dependency{kA, kG1, kG2}));
+
+  // G1 at every site: the walk from G3 enters G1 through A, goes on to
+  // G2 through B and comes back into G1 through C while G1's first frame
+  // is still on the path. G3 is already after G2 at B.
+  Tsgd reentry;
+  reentry.InsertTxn(kG1, {kA, kB, kC});
+  reentry.InsertTxn(kG2, {kB, kC});
+  reentry.InsertTxn(kG3, {kA, kB});
+  reentry.AddDependency(kB, kG2, kG3);
+  steps = 0;
+  delta = reentry.EliminateCycles(kG3, &steps);
+  ReferenceWalk reference = RescanningEliminateCycles(reentry, kG3);
+  EXPECT_EQ(steps, 24);
+  EXPECT_EQ(reference.steps, 41);
+  EXPECT_EQ(reference.reentries, 2);
+  ASSERT_EQ(delta.size(), 2u);
+  EXPECT_EQ(delta[0], (Dependency{kA, kG1, kG3}));
+  EXPECT_EQ(delta[1], (Dependency{kB, kG1, kG3}));
 }
 
 // Property test: on random TSGDs, adding Δ from Eliminate_Cycles leaves no

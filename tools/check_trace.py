@@ -56,6 +56,13 @@ gtm_standby.promotions, gtm_standby.fencing_epoch and
 gtm_standby.lag_records, and a report can only claim promotions in a run
 marked gtm_standby.
 
+The Scheme 2 sub-schema (mdbsim --scheme=2): every dep_add instant lives
+on the GTM track (the TSGD is GTM2 state; the site is in its args) and
+names its reason. "executed" (a ser already processed at the site, added
+by act(init)) and "delta" (Eliminate_Cycles) dependencies point into the
+event's transaction: b == txn. "order" dependencies (act(ser) fixing the
+order at the site) point out of it: a == txn.
+
 The metrics-engine sub-schema (always-on unless --metrics=0): the report's
 "metrics" section must carry zero balance violations, per-phase ticks that
 sum EXACTLY to the total measured lifetime, the full nine-phase taxonomy,
@@ -80,6 +87,9 @@ FIRST_SITE_TID = 2
 NET_FAULT_DETAILS = {"req_lost", "resp_lost", "dup", "dup_suppressed",
                      "spike"}
 SITE_HEALTH_EVENTS = {"site_suspect", "site_down", "site_up"}
+# dep_add reason -> the endpoint ("a" = from, "b" = to) that is the
+# event's own transaction.
+DEP_ADD_ENDPOINT = {"executed": "b", "delta": "b", "order": "a"}
 
 ATTEMPT_NAME = re.compile(r"^G(\d+) attempt (\d+)$")
 
@@ -104,6 +114,7 @@ def check_trace(path):
     last_attempt = {}  # global txn id -> last attempt number seen
     fault_counts = {"crash_spans": 0, "net_faults": 0, "resubmits": 0}
     downgrades = 0
+    dep_adds = 0
     open_crash = {}  # tid -> open DOWN spans (for RECOVERY nesting)
     open_recovery = {}  # tid -> open RECOVERY spans
     recovery_spans = 0
@@ -255,6 +266,25 @@ def check_trace(path):
                                  f"replay counter {counter}="
                                  f"{args.get(counter)!r}")
                     replayed_records += args["a"]
+            elif name == "dep_add":
+                if ev["tid"] != GTM_TID:
+                    fail(f"{path}: event {i} dep_add on tid {ev['tid']}, "
+                         f"expected the GTM track")
+                reason = args.get("detail")
+                if reason not in DEP_ADD_ENDPOINT:
+                    fail(f"{path}: event {i} dep_add with reason "
+                         f"{reason!r}")
+                site = args.get("site")
+                if not isinstance(site, int) or site < 0:
+                    fail(f"{path}: event {i} dep_add without a site")
+                own = DEP_ADD_ENDPOINT[reason]
+                if args.get(own) != args.get("txn") or \
+                        args.get("a") == args.get("b"):
+                    fail(f"{path}: event {i} {reason} dependency "
+                         f"{args.get('a')!r} -> {args.get('b')!r} does not "
+                         f"point {'into' if own == 'b' else 'out of'} "
+                         f"G{args.get('txn')}")
+                dep_adds += 1
             elif name == "txn_resubmit":
                 if not isinstance(args.get("a"), int) or args["a"] < 1:
                     fail(f"{path}: event {i} txn_resubmit with bad "
@@ -340,7 +370,8 @@ def check_trace(path):
           f"net_faults={fault_counts['net_faults']}, "
           f"resubmits={fault_counts['resubmits']}, "
           f"downgrades={downgrades}, recoveries={recovery_spans}, "
-          f"gtm_crashes={gtm_crashes}, promotions={promotes})")
+          f"gtm_crashes={gtm_crashes}, promotions={promotes}, "
+          f"dep_adds={dep_adds})")
     return {"downgrades": downgrades, "recovery_spans": recovery_spans,
             "replayed_records": replayed_records,
             "gtm_crashes": gtm_crashes, "gtm_recovers": gtm_recovers,
