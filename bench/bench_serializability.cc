@@ -79,6 +79,6 @@ int main() {
                 static_cast<long long>(row.gtm_aborts));
   }
   std::printf("\n(Schemes 0-3 and the ticket baseline must show 0 "
-              "violations; NoControl is expected to violate.)\n");
+              "violations; NoControl guarantees nothing and may violate.)\n");
   return 0;
 }

@@ -112,32 +112,31 @@ void Gtm2::Pump() {
                                   op.kind == QueueOpKind::kValidate)) {
         metrics_->WaitEnter(op.txn);
       }
-      wait_.push_back(std::move(op));
+      AddToWait(std::move(op));
     }
   }
   pumping_ = false;
 }
 
-bool Gtm2::TryProcess(const QueueOp& op) {
-  ++stats_.cond_evaluations;
-  Verdict verdict = Verdict::kReady;
+Verdict Gtm2::Cond(const QueueOp& op) {
   switch (op.kind) {
     case QueueOpKind::kInit:
-      verdict = scheme_->CondInit(op);
-      break;
+      return scheme_->CondInit(op);
     case QueueOpKind::kSer:
-      verdict = scheme_->CondSer(op.txn, op.site);
-      break;
+      return scheme_->CondSer(op.txn, op.site);
     case QueueOpKind::kAck:
-      verdict = scheme_->CondAck(op.txn, op.site);
-      break;
+      return scheme_->CondAck(op.txn, op.site);
     case QueueOpKind::kValidate:
-      verdict = scheme_->CondValidate(op.txn);
-      break;
+      return scheme_->CondValidate(op.txn);
     case QueueOpKind::kFin:
-      verdict = scheme_->CondFin(op.txn);
-      break;
+      return scheme_->CondFin(op.txn);
   }
+  return Verdict::kReady;
+}
+
+bool Gtm2::TryProcess(const QueueOp& op) {
+  ++stats_.cond_evaluations;
+  Verdict verdict = Cond(op);
   AuditVerdict(op, verdict);
   switch (verdict) {
     case Verdict::kWait:
@@ -150,9 +149,25 @@ bool Gtm2::TryProcess(const QueueOp& op) {
       }
       if (callbacks_.abort_txn) callbacks_.abort_txn(op.txn);
       return true;
-    case Verdict::kReady:
+    case Verdict::kReady: {
+      // A scheme that declares nothing has every pass of DrainWait wake
+      // all of WAIT instead.
+      if (!scheme_->DeclaresWakeups()) {
+        RunAct(op);
+        return true;
+      }
+      scratch_classes_.clear();
+      bool targeted = scheme_->WakeClasses(op, &scratch_classes_);
       RunAct(op);
+      if (!targeted) {
+        WakeAll();
+      } else {
+        for (const WakeClass& wake_class : scratch_classes_) {
+          WakeFiled(wake_class);
+        }
+      }
       return true;
+    }
   }
   return false;
 }
@@ -206,23 +221,33 @@ void Gtm2::RunAct(const QueueOp& op) {
 
 void Gtm2::DrainWait() {
   // Figure 3: after an act, process every waiting operation whose cond now
-  // holds; each success can enable further ones, so rescan to fixpoint.
+  // holds; each success can enable further ones, so retry to fixpoint. A
+  // pass walks the woken entries in WAIT order; an entry woken behind the
+  // walk waits for the next pass, which runs whenever this one made
+  // progress — exactly where Figure 3's full rescan would first evaluate
+  // it with a different outcome.
   bool progress = true;
   while (progress) {
     progress = false;
-    for (auto it = wait_.begin(); it != wait_.end();) {
-      if (dead_txns_.contains(it->txn)) {
+    if (!scheme_->DeclaresWakeups()) WakeAll();
+    while (!this_pass_.empty()) {
+      cursor_ = this_pass_.top();
+      this_pass_.pop();
+      auto it = wait_.find(cursor_);
+      // The entry stays marked woken while it is evaluated, so its own act
+      // cannot queue it again.
+      WaitEntry& entry = it->second;
+      const QueueOp& waiting = entry.op;
+      if (dead_txns_.contains(waiting.txn)) {
         if (trace_ != nullptr) {
-          trace_->Record(obs::TraceEventKind::kWaitAbandon, it->txn.value(),
-                         it->site.value(), 0, 0, QueueOpKindName(it->kind));
+          trace_->Record(obs::TraceEventKind::kWaitAbandon,
+                         waiting.txn.value(), waiting.site.value(), 0, 0,
+                         QueueOpKindName(waiting.kind));
         }
-        it = wait_.erase(it);
+        wait_.erase(it);
         continue;
       }
       int64_t steps_before = scheme_->steps();
-      // Snapshot identity before TryProcess: a scheme abort inside the call
-      // may splice other entries out of wait_, but never *it itself.
-      const QueueOp& waiting = *it;
       if (TryProcess(waiting)) {
         if (trace_ != nullptr) {
           trace_->Record(obs::TraceEventKind::kWaitExit, waiting.txn.value(),
@@ -234,14 +259,75 @@ void Gtm2::DrainWait() {
                                     waiting.kind == QueueOpKind::kValidate)) {
           metrics_->WaitExit(waiting.txn);
         }
-        it = wait_.erase(it);
+        wait_.erase(it);
         progress = true;
       } else {
         stats_.failed_rescan_steps += scheme_->steps() - steps_before;
-        ++it;
+        entry.woken = false;
+        File(cursor_, waiting);
       }
     }
+    cursor_ = -1;
+    std::swap(this_pass_, next_pass_);
   }
+  AuditWakeupComplete();
+}
+
+void Gtm2::AddToWait(QueueOp op) {
+  int64_t seq = next_seq_++;
+  auto it = wait_.emplace(seq, WaitEntry{std::move(op)}).first;
+  File(seq, it->second.op);
+}
+
+void Gtm2::File(int64_t seq, const QueueOp& op) {
+  if (!scheme_->DeclaresWakeups()) return;
+  scratch_classes_.clear();
+  scheme_->WaitClasses(op, &scratch_classes_);
+  for (const WakeClass& wake_class : scratch_classes_) {
+    filed_[wake_class].push_back(seq);
+  }
+}
+
+void Gtm2::Wake(int64_t seq, WaitEntry& entry) {
+  entry.woken = true;
+  (seq > cursor_ ? this_pass_ : next_pass_).push(seq);
+}
+
+void Gtm2::WakeFiled(const WakeClass& wake_class) {
+  auto bucket = filed_.find(wake_class);
+  if (bucket == filed_.end()) return;
+  for (int64_t seq : bucket->second) {
+    auto it = wait_.find(seq);
+    if (it != wait_.end() && !it->second.woken) Wake(seq, it->second);
+  }
+  bucket->second.clear();
+}
+
+void Gtm2::WakeAll() {
+  for (auto& [seq, entry] : wait_) {
+    if (!entry.woken) Wake(seq, entry);
+  }
+  for (auto& [wake_class, bucket] : filed_) bucket.clear();
+}
+
+void Gtm2::AuditWakeupComplete() {
+  if (!audit_enabled_ || !audit_config_.check_scheme_structure ||
+      !scheme_->DeclaresWakeups()) {
+    return;
+  }
+  // The drain left every entry un-woken: each must still wait, or an act
+  // failed to wake it. Audit code must not meter steps.
+  int64_t steps = scheme_->steps();
+  for (const auto& [seq, entry] : wait_) {
+    if (Cond(entry.op) == Verdict::kWait) continue;
+    auditor_->Report(audit::AuditViolation{
+        "wakeup-complete",
+        std::string(scheme_->Name()) + ": " + entry.op.ToString() +
+            " can proceed but no act woke it",
+        {entry.op.txn.value()},
+        entry.op.txn.value()});
+  }
+  scheme_->RestoreSteps(steps);
 }
 
 void Gtm2::AbortCleanup(GlobalTxnId txn) {
@@ -249,15 +335,15 @@ void Gtm2::AbortCleanup(GlobalTxnId txn) {
   if (audit_enabled_) ser_graph_.RemoveTxn(txn.value());
   if (!pumping_) {
     // Eager purge. When called from inside the pump (a scheme abort
-    // surfacing mid-scan), the purge must stay lazy: Pump/DrainWait skip
-    // and erase dead transactions' operations as they encounter them, and
-    // erasing here would invalidate the iterator of the scan that invoked
-    // the abort callback.
+    // surfacing mid-walk), the purge must stay lazy: Pump/DrainWait skip
+    // and erase dead transactions' operations as they reach them, so the
+    // trace and the walk see them where Figure 3's rescan would.
     for (auto it = wait_.begin(); it != wait_.end();) {
-      if (it->txn == txn) {
+      const QueueOp& op = it->second.op;
+      if (op.txn == txn) {
         if (trace_ != nullptr) {
-          trace_->Record(obs::TraceEventKind::kWaitAbandon, it->txn.value(),
-                         it->site.value(), 0, 0, QueueOpKindName(it->kind));
+          trace_->Record(obs::TraceEventKind::kWaitAbandon, op.txn.value(),
+                         op.site.value(), 0, 0, QueueOpKindName(op.kind));
         }
         it = wait_.erase(it);
       } else {
@@ -266,7 +352,9 @@ void Gtm2::AbortCleanup(GlobalTxnId txn) {
     }
   }
   scheme_->ActAbortCleanup(txn);
-  // Removing the transaction may unblock waiting operations.
+  // Removing the transaction may unblock any waiting operation, and the
+  // walk must reach the dead ones to erase them.
+  WakeAll();
   if (!pumping_) {
     pumping_ = true;
     DrainWait();
@@ -299,8 +387,13 @@ std::vector<int64_t> SortedTxns(
 Gtm2::VolatileImage Gtm2::SnapshotForCheckpoint() const {
   MDBS_CHECK(!pumping_ && queue_.empty())
       << "GTM2 snapshot requires a quiescent driver";
+  // Every drain ends with a pass that evaluated each woken entry, so a
+  // quiescent WAIT has none — and the image needs no wake state.
+  MDBS_CHECK(this_pass_.empty() && next_pass_.empty())
+      << "GTM2 snapshot with woken WAIT entries";
   VolatileImage image;
-  image.wait.assign(wait_.begin(), wait_.end());
+  image.wait.reserve(wait_.size());
+  for (const auto& [seq, entry] : wait_) image.wait.push_back(entry.op);
   image.dead_txns = SortedTxns(dead_txns_);
   image.stats = stats_;
   image.scheme_steps = scheme_->steps();
@@ -310,7 +403,6 @@ Gtm2::VolatileImage Gtm2::SnapshotForCheckpoint() const {
 
 void Gtm2::RestoreFromCheckpoint(const VolatileImage& image) {
   MDBS_CHECK(!pumping_ && queue_.empty());
-  wait_.assign(image.wait.begin(), image.wait.end());
   dead_txns_.clear();
   for (int64_t txn : image.dead_txns) dead_txns_.insert(GlobalTxnId(txn));
   stats_ = image.stats;
@@ -320,12 +412,20 @@ void Gtm2::RestoreFromCheckpoint(const VolatileImage& image) {
       scheme_->DecodeState(image.scheme_state.data(), image.scheme_state.size()))
       << "undecodable " << scheme_->Name() << " snapshot";
   scheme_->RestoreSteps(image.scheme_steps);
+  // Filed after the DS is back: a waiter's classes may read it.
+  wait_.clear();
+  filed_.clear();
+  for (const QueueOp& op : image.wait) AddToWait(op);
 }
 
 void Gtm2::ResetForRecovery(std::unique_ptr<Scheme> fresh) {
   MDBS_CHECK(fresh != nullptr);
   queue_.clear();
   wait_.clear();
+  filed_.clear();
+  this_pass_ = MinHeap();
+  next_pass_ = MinHeap();
+  cursor_ = -1;
   dead_txns_.clear();
   stats_ = Gtm2Stats{};
   pumping_ = false;
@@ -339,7 +439,7 @@ std::vector<uint8_t> Gtm2::StateFingerprint() const {
   scheme_->EncodeState(&out);
   storage::PutI64(&out, scheme_->steps());
   storage::PutU32(&out, static_cast<uint32_t>(wait_.size()));
-  for (const QueueOp& op : wait_) EncodeOp(op, &out);
+  for (const auto& [seq, entry] : wait_) EncodeOp(entry.op, &out);
   std::vector<int64_t> dead = SortedTxns(dead_txns_);
   storage::PutU32(&out, static_cast<uint32_t>(dead.size()));
   for (int64_t txn : dead) storage::PutI64(&out, txn);

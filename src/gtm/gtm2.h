@@ -3,9 +3,12 @@
 
 #include <deque>
 #include <functional>
-#include <list>
+#include <map>
 #include <memory>
+#include <queue>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "audit/audit.h"
 #include "audit/ser_graph.h"
@@ -25,12 +28,14 @@ struct Gtm2Stats {
   int64_t wait_additions = 0;
   /// The subset of wait_additions that are ser operations.
   int64_t ser_wait_additions = 0;
-  /// cond() evaluations performed (both from QUEUE and WAIT rescans).
+  /// cond() evaluations performed (both from QUEUE and woken WAIT
+  /// entries).
   int64_t cond_evaluations = 0;
-  /// Scheme steps spent on WAIT re-evaluations that still failed. The
-  /// paper's complexity model (§4) assumes targeted wakeup — only
-  /// operations whose cond became true are examined — so the theoretical
-  /// per-transaction step counts correspond to scheme().steps() minus this.
+  /// Scheme steps spent on woken WAIT entries whose cond still failed. The
+  /// paper's complexity model (§4) examines only operations whose cond
+  /// became true, so the theoretical per-transaction step counts are
+  /// scheme().steps() minus this. Un-woken entries are not evaluated, so
+  /// their steps appear in neither number.
   int64_t failed_rescan_steps = 0;
   /// Transactions aborted on a scheme's demand (non-conservative only).
   int64_t scheme_aborts = 0;
@@ -40,7 +45,13 @@ struct Gtm2Stats {
 /// operations from the front of QUEUE; when the scheme's cond holds it runs
 /// the scheme's act plus the operation's side effect (releasing a ser
 /// operation to its site, forwarding an ack to GTM1, ...); otherwise the
-/// operation joins WAIT and is retried after every subsequent act.
+/// operation joins WAIT and is retried after a subsequent act.
+///
+/// Figure 3 retries all of WAIT after every act. This driver retries only
+/// the entries an act woke (Scheme::WakeClasses), walking them in WAIT
+/// order and starting a new pass after any progress, so it makes Figure 3's
+/// decisions in Figure 3's order: an entry left un-woken would have
+/// returned kWait with no side effect (DESIGN.md §2).
 class Gtm2 {
  public:
   struct Callbacks {
@@ -100,9 +111,9 @@ class Gtm2 {
   void EnableTrace(obs::TraceSink* sink);
 
   /// Volatile GTM2 state as the durable GTM's checkpoints capture it. Only
-  /// taken at strand-turn boundaries, where QUEUE is provably empty — so
-  /// WAIT, the dead set, the counters and the scheme DS are the whole
-  /// state.
+  /// taken at strand-turn boundaries, where QUEUE is provably empty and no
+  /// WAIT entry is woken — so WAIT, the dead set, the counters and the
+  /// scheme DS are the whole state.
   struct VolatileImage {
     std::vector<QueueOp> wait;       // in WAIT order
     std::vector<int64_t> dead_txns;  // sorted
@@ -112,11 +123,12 @@ class Gtm2 {
   };
 
   /// Snapshots the volatile state; crashes unless the driver is quiescent
-  /// (not pumping, QUEUE empty).
+  /// (not pumping, QUEUE empty, nothing woken).
   VolatileImage SnapshotForCheckpoint() const;
 
-  /// Restores a snapshot into a freshly reset driver. The scheme must
-  /// support snapshots and accept the encoded state.
+  /// Restores a snapshot into a freshly reset driver, with no WAIT entry
+  /// woken. The scheme must support snapshots and accept the encoded
+  /// state.
   void RestoreFromCheckpoint(const VolatileImage& image);
 
   /// GTM crash: drops QUEUE/WAIT/dead-set/stats and installs a fresh scheme
@@ -137,13 +149,45 @@ class Gtm2 {
   void EnableMetrics(obs::MetricsEngine* engine) { metrics_ = engine; }
 
  private:
+  /// A WAIT entry, keyed in wait_ by its insertion number.
+  struct WaitEntry {
+    QueueOp op;
+    /// Queued for a walk (or being evaluated by one).
+    bool woken = false;
+  };
+  using MinHeap =
+      std::priority_queue<int64_t, std::vector<int64_t>, std::greater<>>;
+  struct WakeClassHash {
+    size_t operator()(const WakeClass& c) const {
+      return std::hash<int64_t>()(c.site.value() * 8 +
+                                  static_cast<int64_t>(c.kind));
+    }
+  };
+
   void Pump();
-  /// Evaluates cond(op). kReady -> runs act + side effects and returns true.
-  /// kWait -> returns false. kAbort -> handles the abort and returns true
-  /// (the operation is consumed).
+  /// Evaluates cond(op), without side effects on the driver.
+  Verdict Cond(const QueueOp& op);
+  /// Evaluates cond(op). kReady -> runs act + side effects, wakes what the
+  /// act can unblock and returns true. kWait -> returns false. kAbort ->
+  /// handles the abort and returns true (the operation is consumed).
   bool TryProcess(const QueueOp& op);
   void RunAct(const QueueOp& op);
+  /// Figure 3's retry of WAIT, over the woken entries only.
   void DrainWait();
+
+  /// Appends `op` to WAIT, filed under the classes its cond reads.
+  void AddToWait(QueueOp op);
+  /// Files the (un-woken) entry `seq` under the classes its cond reads.
+  void File(int64_t seq, const QueueOp& op);
+  /// Queues entry `seq` for the current pass if the walk has not passed
+  /// it yet, else for the next one.
+  void Wake(int64_t seq, WaitEntry& entry);
+  /// Wakes the entries filed under `wake_class`.
+  void WakeFiled(const WakeClass& wake_class);
+  void WakeAll();
+
+  /// Audit hook after a drain: every un-woken entry must still wait.
+  void AuditWakeupComplete();
 
   /// Audit hooks around TryProcess/RunAct; no-ops unless EnableAudit ran.
   void AuditVerdict(const QueueOp& op, Verdict verdict);
@@ -155,7 +199,21 @@ class Gtm2 {
   obs::TraceSink* trace_ = nullptr;
   obs::MetricsEngine* metrics_ = nullptr;
   std::deque<QueueOp> queue_;
-  std::list<QueueOp> wait_;
+  /// WAIT, keyed (and so ordered) by insertion number.
+  std::map<int64_t, WaitEntry> wait_;
+  int64_t next_seq_ = 0;
+  /// Un-woken entries by the classes their conds read. A bucket is emptied
+  /// when its class is woken; it may hold an entry twice, or an entry that
+  /// is woken or gone, and waking skips those.
+  std::unordered_map<WakeClass, std::vector<int64_t>, WakeClassHash>
+      filed_;
+  /// Woken entries the walk reaches in this pass (after `cursor_`), and
+  /// the ones it has passed, which wait for the next pass. Both are empty
+  /// whenever the driver is quiescent.
+  MinHeap this_pass_;
+  MinHeap next_pass_;
+  int64_t cursor_ = -1;
+  std::vector<WakeClass> scratch_classes_;
   std::unordered_set<GlobalTxnId> dead_txns_;
   Gtm2Stats stats_;
   bool pumping_ = false;

@@ -36,6 +36,18 @@ enum class SchemeKind {
 
 const char* SchemeKindName(SchemeKind kind);
 
+/// A class of WAIT entries for GTM2's targeted wakeup: the waiting
+/// operations of one kind at one site (an invalid site for operations that
+/// carry none, such as fin).
+struct WakeClass {
+  QueueOpKind kind;
+  SiteId site;
+
+  friend bool operator==(const WakeClass& a, const WakeClass& b) {
+    return a.kind == b.kind && a.site == b.site;
+  }
+};
+
 /// A GTM2 concurrency control scheme in the paper's cond/act formulation
 /// (§4): the driver (Gtm2) selects operations from QUEUE, evaluates Cond,
 /// and on kReady executes Act. Schemes only manipulate their own data
@@ -72,6 +84,37 @@ class Scheme {
   /// DBMSs may abort a subtransaction (deadlock victim, validation failure)
   /// and GTM1 then retires the whole attempt.
   virtual void ActAbortCleanup(GlobalTxnId txn) = 0;
+
+  // -------------------------------------------------------------------
+  // Targeted wakeup (Gtm2; DESIGN.md §2). Figure 3 retries WAIT after
+  // every act, but an act can only turn the conds it writes to from kWait
+  // to kReady. A scheme that declares wakeups promises: cond(op) of a
+  // waiting op reads only the classes WaitClasses(op) names, cond has no
+  // side effect, and only an act whose WakeClasses names one of those
+  // classes (or reports everything) — or an abort cleanup — can change its
+  // verdict. GTM2 then retries only the entries an act woke. A scheme that
+  // declares nothing keeps Figure 3's literal rescan, and GTM2 consults
+  // neither method below for it.
+  // -------------------------------------------------------------------
+
+  virtual bool DeclaresWakeups() const { return false; }
+
+  /// Appends the classes whose waiters act(op) can unblock. Called just
+  /// before the act runs, on the DS it reads. Returns false when the act
+  /// can unblock any waiter.
+  virtual bool WakeClasses(const QueueOp& op,
+                           std::vector<WakeClass>* out) const {
+    (void)op;
+    (void)out;
+    return false;
+  }
+
+  /// Appends the classes cond(op) reads: the entry is woken when any of
+  /// them is. Called when op (re)joins WAIT.
+  virtual void WaitClasses(const QueueOp& op,
+                           std::vector<WakeClass>* out) const {
+    out->push_back(WakeClass{op.kind, op.site});
+  }
 
   // -------------------------------------------------------------------
   // Invariant-audit surface (src/audit). These re-derive the scheme's

@@ -34,6 +34,14 @@ void Scheme0::ActAck(GlobalTxnId txn, SiteId site) {
   if (it->second.empty()) queues_.erase(it);
 }
 
+bool Scheme0::WakeClasses(const QueueOp& op,
+                          std::vector<WakeClass>* out) const {
+  if (op.kind == QueueOpKind::kAck) {
+    out->push_back(WakeClass{QueueOpKind::kSer, op.site});
+  }
+  return true;
+}
+
 Verdict Scheme0::CondFin(GlobalTxnId) {
   AddSteps(1);
   return Verdict::kReady;

@@ -27,6 +27,12 @@ class Scheme0 : public ConservativeSchemeBase {
   void EncodeState(std::vector<uint8_t>* out) const override;
   bool DecodeState(const uint8_t* data, size_t size) override;
 
+  /// Only ser operations wait, on the head of their site's queue, and only
+  /// ack@s pops that head: ack@s wakes the ser waiters at s.
+  bool DeclaresWakeups() const override { return true; }
+  bool WakeClasses(const QueueOp& op,
+                   std::vector<WakeClass>* out) const override;
+
   void ActInit(const QueueOp& op) override;
   Verdict CondSer(GlobalTxnId txn, SiteId site) override;
   void ActSer(GlobalTxnId txn, SiteId site) override;

@@ -71,6 +71,28 @@ void Scheme1::ActAck(GlobalTxnId txn, SiteId site) {
   state.executing.reset();
 }
 
+bool Scheme1::WakeClasses(const QueueOp& op,
+                          std::vector<WakeClass>* out) const {
+  if (op.kind == QueueOpKind::kAck) {
+    out->push_back(WakeClass{QueueOpKind::kSer, op.site});
+    out->push_back(WakeClass{QueueOpKind::kFin, op.site});
+  } else if (op.kind == QueueOpKind::kFin) {
+    WaitClasses(op, out);  // The fin waiters at the txn's sites.
+  }
+  return true;
+}
+
+void Scheme1::WaitClasses(const QueueOp& op,
+                          std::vector<WakeClass>* out) const {
+  if (op.kind != QueueOpKind::kFin) {
+    Scheme::WaitClasses(op, out);
+    return;
+  }
+  for (SiteId site : tsg_.SitesOf(op.txn)) {
+    out->push_back(WakeClass{QueueOpKind::kFin, site});
+  }
+}
+
 Verdict Scheme1::CondFin(GlobalTxnId txn) {
   for (SiteId site : tsg_.SitesOf(txn)) {
     AddSteps(1);

@@ -40,6 +40,17 @@ class Scheme1 : public ConservativeSchemeBase {
   void EncodeState(std::vector<uint8_t>* out) const override;
   bool DecodeState(const uint8_t* data, size_t size) override;
 
+  /// cond(ser@s) reads s's executing slot and insert queue, which only
+  /// ack@s frees and pops. cond(fin) reads the heads of the delete queues
+  /// at the transaction's sites: ack@s appends to s's, fin pops its own
+  /// sites'. So ack@s wakes the ser and fin waiters at s, and fin wakes the
+  /// fin waiters at the finished transaction's sites.
+  bool DeclaresWakeups() const override { return true; }
+  bool WakeClasses(const QueueOp& op,
+                   std::vector<WakeClass>* out) const override;
+  void WaitClasses(const QueueOp& op,
+                   std::vector<WakeClass>* out) const override;
+
   void ActInit(const QueueOp& op) override;
   Verdict CondSer(GlobalTxnId txn, SiteId site) override;
   void ActSer(GlobalTxnId txn, SiteId site) override;

@@ -14,10 +14,13 @@ void Scheme2::ActInit(const QueueOp& op) {
   // Dependencies from every already-executed ser operation at each site:
   // those transactions are serialized before G̃_i there.
   for (SiteId site : op.sites) {
-    for (GlobalTxnId other : tsgd_.TxnsAt(site)) {
+    const std::vector<GlobalTxnId>& members = tsgd_.TxnsAt(site);
+    const std::vector<uint8_t>& flags = tsgd_.FlagsAt(site);
+    for (size_t i = 0; i < members.size(); ++i) {
       AddSteps(1);
+      GlobalTxnId other = members[i];
       if (other == op.txn) continue;
-      if (Executed(other, site)) {
+      if ((flags[i] & kExecuted) != 0) {
         tsgd_.AddDependency(site, other, op.txn);
         if (trace_ != nullptr) {
           trace_->Record(obs::TraceEventKind::kDepAdd, op.txn.value(),
@@ -51,30 +54,41 @@ void Scheme2::ActInit(const QueueOp& op) {
 }
 
 Status Scheme2::CheckStructuralInvariants() const {
+  // The executed/acked flags live on the TSGD's edges, so a flag on a
+  // removed edge (a stale marker) cannot exist; Validate checks that every
+  // site keeps one flag byte per member.
   MDBS_RETURN_IF_ERROR(tsgd_.Validate());
-  // Executed/acked markers refer to live (txn, site) edges, and an acked
-  // ser was necessarily executed first.
-  for (const auto& [marker, name] :
-       {std::pair{&executed_, "executed"}, std::pair{&acked_, "acked"}}) {
-    for (const auto& [txn_value, site_value] : *marker) {
-      GlobalTxnId txn(txn_value);
-      SiteId site(site_value);
-      const std::vector<SiteId>& sites = tsgd_.SitesOf(txn);
-      if (std::find(sites.begin(), sites.end(), site) == sites.end()) {
-        return Status::Internal("Scheme2: stale " + std::string(name) +
-                                " marker (" + ToString(txn) + ", " +
-                                ToString(site) + ")");
-      }
-    }
-  }
-  for (const auto& pair : acked_) {
-    if (!executed_.contains(pair)) {
-      return Status::Internal("Scheme2: (" + ToString(GlobalTxnId(pair.first)) +
-                              ", " + ToString(SiteId(pair.second)) +
-                              ") acked but never executed");
+  // An acked ser was necessarily executed first.
+  for (const auto& [txn, site] : EdgesFlagged(kAcked)) {
+    if ((tsgd_.EdgeFlags(txn, site) & kExecuted) == 0) {
+      return Status::Internal("Scheme2: (" + ToString(txn) + ", " +
+                              ToString(site) + ") acked but never executed");
     }
   }
   return Status::OK();
+}
+
+std::vector<std::pair<GlobalTxnId, SiteId>> Scheme2::EdgesFlagged(
+    uint8_t flag) const {
+  std::vector<std::pair<GlobalTxnId, SiteId>> edges;
+  for (GlobalTxnId txn : tsgd_.Txns()) {
+    for (SiteId site : tsgd_.SitesOf(txn)) {
+      if ((tsgd_.EdgeFlags(txn, site) & flag) != 0) {
+        edges.emplace_back(txn, site);
+      }
+    }
+  }
+  return edges;
+}
+
+bool Scheme2::WakeClasses(const QueueOp& op,
+                          std::vector<WakeClass>* out) const {
+  if (op.kind == QueueOpKind::kAck) {
+    out->push_back(WakeClass{QueueOpKind::kSer, op.site});
+  } else if (op.kind == QueueOpKind::kFin) {
+    out->push_back(WakeClass{QueueOpKind::kFin, SiteId()});
+  }
+  return true;
 }
 
 Status Scheme2::AuditSerRelease(GlobalTxnId txn, SiteId site) const {
@@ -102,12 +116,15 @@ Verdict Scheme2::CondSer(GlobalTxnId txn, SiteId site) {
 }
 
 void Scheme2::ActSer(GlobalTxnId txn, SiteId site) {
-  executed_.insert({txn.value(), site.value()});
+  tsgd_.AddEdgeFlags(txn, site, kExecuted);
   // The execution order is now fixed: G̃_i precedes every ser operation at
   // this site that has not executed yet.
-  for (GlobalTxnId other : tsgd_.TxnsAt(site)) {
+  const std::vector<GlobalTxnId>& members = tsgd_.TxnsAt(site);
+  const std::vector<uint8_t>& flags = tsgd_.FlagsAt(site);
+  for (size_t i = 0; i < members.size(); ++i) {
     AddSteps(1);
-    if (other == txn || Executed(other, site)) continue;
+    GlobalTxnId other = members[i];
+    if (other == txn || (flags[i] & kExecuted) != 0) continue;
     tsgd_.AddDependency(site, txn, other);
     if (trace_ != nullptr) {
       trace_->Record(obs::TraceEventKind::kDepAdd, txn.value(), site.value(),
@@ -118,7 +135,7 @@ void Scheme2::ActSer(GlobalTxnId txn, SiteId site) {
 
 void Scheme2::ActAck(GlobalTxnId txn, SiteId site) {
   AddSteps(1);
-  acked_.insert({txn.value(), site.value()});
+  tsgd_.AddEdgeFlags(txn, site, kAcked);
 }
 
 Verdict Scheme2::CondFin(GlobalTxnId txn) {
@@ -130,20 +147,13 @@ Verdict Scheme2::CondFin(GlobalTxnId txn) {
 }
 
 void Scheme2::ActFin(GlobalTxnId txn) {
-  for (SiteId site : tsgd_.SitesOf(txn)) {
-    AddSteps(1);
-    executed_.erase({txn.value(), site.value()});
-    acked_.erase({txn.value(), site.value()});
-  }
+  // One step per edge retired (its flags go with it).
+  AddSteps(static_cast<int64_t>(tsgd_.SitesOf(txn).size()));
   TraceDepDrop(txn, "fin");
   tsgd_.RemoveTxn(txn);
 }
 
 void Scheme2::ActAbortCleanup(GlobalTxnId txn) {
-  for (SiteId site : tsgd_.SitesOf(txn)) {
-    executed_.erase({txn.value(), site.value()});
-    acked_.erase({txn.value(), site.value()});
-  }
   TraceDepDrop(txn, "abort");
   tsgd_.RemoveTxn(txn);
 }
@@ -175,23 +185,19 @@ void Scheme2::EncodeState(std::vector<uint8_t>* out) const {
     storage::PutI64(out, dep.from.value());
     storage::PutI64(out, dep.to.value());
   }
-  storage::PutU32(out, static_cast<uint32_t>(executed_.size()));
-  for (const auto& [txn, site] : executed_) {
-    storage::PutI64(out, txn);
-    storage::PutI64(out, site);
-  }
-  storage::PutU32(out, static_cast<uint32_t>(acked_.size()));
-  for (const auto& [txn, site] : acked_) {
-    storage::PutI64(out, txn);
-    storage::PutI64(out, site);
+  for (uint8_t flag : {kExecuted, kAcked}) {
+    std::vector<std::pair<GlobalTxnId, SiteId>> edges = EdgesFlagged(flag);
+    storage::PutU32(out, static_cast<uint32_t>(edges.size()));
+    for (const auto& [txn, site] : edges) {
+      storage::PutI64(out, txn.value());
+      storage::PutI64(out, site.value());
+    }
   }
 }
 
 bool Scheme2::DecodeState(const uint8_t* data, size_t size) {
   storage::Cursor c(data, size);
   tsgd_ = Tsgd();
-  executed_.clear();
-  acked_.clear();
   uint32_t n_txns = c.U32();
   if (!c.ok()) return false;
   for (uint32_t i = 0; i < n_txns && c.ok(); ++i) {
@@ -220,19 +226,17 @@ bool Scheme2::DecodeState(const uint8_t* data, size_t size) {
     if (!has_edge(from) || !has_edge(to)) return false;
     tsgd_.AddDependency(site, from, to);
   }
-  uint32_t n_executed = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_executed && c.ok(); ++i) {
-    int64_t txn = c.I64();
-    int64_t site = c.I64();
-    executed_.insert({txn, site});
-  }
-  uint32_t n_acked = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_acked && c.ok(); ++i) {
-    int64_t txn = c.I64();
-    int64_t site = c.I64();
-    acked_.insert({txn, site});
+  for (uint8_t flag : {kExecuted, kAcked}) {
+    uint32_t n_flagged = c.U32();
+    if (!c.ok()) return false;
+    for (uint32_t i = 0; i < n_flagged && c.ok(); ++i) {
+      GlobalTxnId txn(c.I64());
+      SiteId site(c.I64());
+      if (!c.ok()) return false;
+      const std::vector<SiteId>& sites = tsgd_.SitesOf(txn);
+      if (!std::binary_search(sites.begin(), sites.end(), site)) return false;
+      tsgd_.AddEdgeFlags(txn, site, flag);
+    }
   }
   return c.ok() && c.exhausted();
 }

@@ -1,8 +1,8 @@
 #ifndef MDBS_GTM_SCHEME2_H_
 #define MDBS_GTM_SCHEME2_H_
 
-#include <set>
 #include <utility>
+#include <vector>
 
 #include "gtm/scheme.h"
 #include "gtm/tsgd.h"
@@ -39,6 +39,15 @@ class Scheme2 : public ConservativeSchemeBase {
   void EncodeState(std::vector<uint8_t>* out) const override;
   bool DecodeState(const uint8_t* data, size_t size) override;
 
+  /// cond(ser@s) waits for the sources of its dependencies to be acked at
+  /// s; only ack@s acks one. cond(fin) waits for its incoming
+  /// dependencies to go; only a fin removes any (a finished transaction's
+  /// sers are all acked, so that removal unblocks no ser). So ack@s wakes
+  /// the ser waiters at s and fin wakes the fin waiters.
+  bool DeclaresWakeups() const override { return true; }
+  bool WakeClasses(const QueueOp& op,
+                   std::vector<WakeClass>* out) const override;
+
   void ActInit(const QueueOp& op) override;
   Verdict CondSer(GlobalTxnId txn, SiteId site) override;
   void ActSer(GlobalTxnId txn, SiteId site) override;
@@ -58,16 +67,18 @@ class Scheme2 : public ConservativeSchemeBase {
   /// kDepDrop with the count of incoming dependencies retired with `txn`.
   void TraceDepDrop(GlobalTxnId txn, const char* why);
 
-  bool Executed(GlobalTxnId txn, SiteId site) const {
-    return executed_.contains({txn.value(), site.value()});
-  }
+  /// Flags of a (txn, site) edge in the TSGD.
+  static constexpr uint8_t kExecuted = 1;  // ser released at the site.
+  static constexpr uint8_t kAcked = 2;     // ser acked at the site.
+
   bool Acked(GlobalTxnId txn, SiteId site) const {
-    return acked_.contains({txn.value(), site.value()});
+    return (tsgd_.EdgeFlags(txn, site) & kAcked) != 0;
   }
+  /// The (txn, site) edges carrying `flag`, sorted by (txn, site).
+  std::vector<std::pair<GlobalTxnId, SiteId>> EdgesFlagged(
+      uint8_t flag) const;
 
   Tsgd tsgd_;
-  std::set<std::pair<int64_t, int64_t>> executed_;
-  std::set<std::pair<int64_t, int64_t>> acked_;
   bool validate_acyclicity_ = false;
 };
 

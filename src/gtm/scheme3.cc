@@ -113,6 +113,15 @@ Status Scheme3::AuditSerRelease(GlobalTxnId txn, SiteId site) const {
   return Status::OK();
 }
 
+bool Scheme3::WakeClasses(const QueueOp& op,
+                          std::vector<WakeClass>* out) const {
+  if (op.kind == QueueOpKind::kFin) return false;
+  if (op.kind == QueueOpKind::kAck || op.kind == QueueOpKind::kSer) {
+    out->push_back(WakeClass{QueueOpKind::kSer, op.site});
+  }
+  return true;
+}
+
 Verdict Scheme3::CondSer(GlobalTxnId txn, SiteId site) {
   AddSteps(1);
   // The previously executed ser operation at this site must be acked so the

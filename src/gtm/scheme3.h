@@ -58,6 +58,16 @@ class Scheme3 : public ConservativeSchemeBase {
   void EncodeState(std::vector<uint8_t>* out) const override;
   bool DecodeState(const uint8_t* data, size_t size) override;
 
+  /// cond(ser@s) reads last_s's ack, set_s and the waiter's ser_bef. At
+  /// s, ack@s acks last_s and ser@s shrinks set_s; elsewhere only acts
+  /// that grow ser_bef or set_s run, which cannot unblock it. cond(fin)
+  /// waits for ser_bef to empty, and fin's RemoveEverywhere shrinks every
+  /// ser_bef (and clears last_s). So ack@s and ser@s wake the ser waiters
+  /// at s, and fin wakes every waiter.
+  bool DeclaresWakeups() const override { return true; }
+  bool WakeClasses(const QueueOp& op,
+                   std::vector<WakeClass>* out) const override;
+
   void ActInit(const QueueOp& op) override;
   Verdict CondSer(GlobalTxnId txn, SiteId site) override;
   void ActSer(GlobalTxnId txn, SiteId site) override;

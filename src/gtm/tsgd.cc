@@ -23,6 +23,11 @@ const std::vector<GlobalTxnId>& NoTxns() {
   return empty;
 }
 
+const std::vector<uint8_t>& NoFlags() {
+  static const std::vector<uint8_t>& empty = *new std::vector<uint8_t>();
+  return empty;
+}
+
 void InsertSorted(std::vector<GlobalTxnId>* list, GlobalTxnId txn) {
   list->insert(std::lower_bound(list->begin(), list->end(), txn), txn);
 }
@@ -50,6 +55,15 @@ uint32_t Tsgd::SiteIndex(SiteId site) const {
 uint32_t Tsgd::Slot(GlobalTxnId txn) const {
   auto it = slot_of_.find(txn);
   return it == slot_of_.end() ? kNone : it->second;
+}
+
+uint32_t Tsgd::MemberOf(uint32_t u, GlobalTxnId txn) const {
+  if (u == kNone) return kNone;
+  const std::vector<GlobalTxnId>& txns = sites_[u].txns;
+  auto it = std::lower_bound(txns.begin(), txns.end(), txn);
+  return it == txns.end() || *it != txn
+             ? kNone
+             : static_cast<uint32_t>(it - txns.begin());
 }
 
 uint32_t Tsgd::EdgeOf(const Node& node, uint32_t u) {
@@ -124,6 +138,7 @@ void Tsgd::InsertTxn(GlobalTxnId txn, const std::vector<SiteId>& sites) {
     SiteNode& at = sites_[u];
     auto pos = std::lower_bound(at.txns.begin(), at.txns.end(), txn);
     at.slots.insert(at.slots.begin() + (pos - at.txns.begin()), slot);
+    at.flags.insert(at.flags.begin() + (pos - at.txns.begin()), 0);
     at.txns.insert(pos, txn);
   }
 }
@@ -152,6 +167,7 @@ void Tsgd::RemoveTxn(GlobalTxnId txn) {
     SiteNode& at = sites_[u];
     auto pos = std::lower_bound(at.txns.begin(), at.txns.end(), txn);
     at.slots.erase(at.slots.begin() + (pos - at.txns.begin()));
+    at.flags.erase(at.flags.begin() + (pos - at.txns.begin()));
     at.txns.erase(pos);
   }
   node.id = GlobalTxnId();
@@ -167,6 +183,24 @@ const std::vector<SiteId>& Tsgd::SitesOf(GlobalTxnId txn) const {
 const std::vector<GlobalTxnId>& Tsgd::TxnsAt(SiteId site) const {
   uint32_t u = SiteIndex(site);
   return u == kNone ? NoTxns() : sites_[u].txns;
+}
+
+uint8_t Tsgd::EdgeFlags(GlobalTxnId txn, SiteId site) const {
+  uint32_t u = SiteIndex(site);
+  uint32_t member = MemberOf(u, txn);
+  return member == kNone ? 0 : sites_[u].flags[member];
+}
+
+void Tsgd::AddEdgeFlags(GlobalTxnId txn, SiteId site, uint8_t flags) {
+  uint32_t u = SiteIndex(site);
+  uint32_t member = MemberOf(u, txn);
+  MDBS_CHECK(member != kNone) << "no edge (" << txn << ", " << site << ")";
+  sites_[u].flags[member] |= flags;
+}
+
+const std::vector<uint8_t>& Tsgd::FlagsAt(SiteId site) const {
+  uint32_t u = SiteIndex(site);
+  return u == kNone ? NoFlags() : sites_[u].flags;
 }
 
 void Tsgd::AddDependency(SiteId site, GlobalTxnId from, GlobalTxnId to) {
@@ -286,7 +320,8 @@ Status Tsgd::Validate() const {
   for (uint32_t u = 0; u < sites_.size(); ++u) {
     const SiteNode& site = sites_[u];
     if (!std::is_sorted(site.txns.begin(), site.txns.end()) ||
-        site.txns.size() != site.slots.size()) {
+        site.txns.size() != site.slots.size() ||
+        site.txns.size() != site.flags.size()) {
       return Status::Internal("TSGD: members of " + ToString(site.id) +
                               " out of order");
     }

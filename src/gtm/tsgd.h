@@ -42,7 +42,7 @@ struct Dependency {
 /// matrix of its dependencies (row = `to` slot, column = `from` slot), so
 /// the dependency test is one bit; each (txn, site) edge keeps its incoming
 /// sources id-sorted and its outgoing targets, for in-place iteration and
-/// removal.
+/// removal, and a byte of scheme flags beside its site-side entry.
 class Tsgd {
  public:
   /// Inserts `txn` with one edge per site. `txn` must be absent.
@@ -68,6 +68,15 @@ class Tsgd {
   bool HasDependenciesInto(GlobalTxnId txn, SiteId site) const {
     return !DependenciesInto(txn, site).empty();
   }
+
+  /// Per-edge flags a scheme keeps on (txn, site) (Scheme 2: ser executed,
+  /// ser acked). An edge starts with none and takes them with it when its
+  /// transaction is removed.
+  uint8_t EdgeFlags(GlobalTxnId txn, SiteId site) const;
+  /// Adds `flags` to the edge (txn, site), which must exist.
+  void AddEdgeFlags(GlobalTxnId txn, SiteId site, uint8_t flags);
+  /// The flags of `site`'s edges, parallel to TxnsAt(site).
+  const std::vector<uint8_t>& FlagsAt(SiteId site) const;
 
   size_t TxnCount() const { return slot_of_.size(); }
   size_t DependencyCount() const { return dep_count_; }
@@ -123,6 +132,7 @@ class Tsgd {
     SiteId id;
     std::vector<GlobalTxnId> txns;  // Id-sorted.
     std::vector<uint32_t> slots;    // Parallel to txns.
+    std::vector<uint8_t> flags;     // Parallel to txns.
     std::vector<uint64_t> deps;     // capacity_ rows of words_ words.
   };
   /// One frame of the Eliminate_Cycles walk: transaction slot `v`, entered
@@ -136,6 +146,8 @@ class Tsgd {
 
   uint32_t SiteIndex(SiteId site) const;
   uint32_t Slot(GlobalTxnId txn) const;
+  /// The position of `txn` among the members of site index `u`, or kNone.
+  uint32_t MemberOf(uint32_t u, GlobalTxnId txn) const;
   /// The position of site index `u` among `node`'s edges, or kNone.
   static uint32_t EdgeOf(const Node& node, uint32_t u);
   bool Bit(uint32_t u, uint32_t from, uint32_t to) const {

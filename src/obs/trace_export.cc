@@ -69,6 +69,20 @@ class SpanTable {
     return true;
   }
 
+  /// Open/Close for spans whose begins and ends must reach the file as
+  /// recorded (WAIT dwell): nothing is force-ended or dropped, so
+  /// tools/check_trace.py sees a doubled begin or an unmatched end.
+  void OpenAsRecorded(const std::string& id, std::string name,
+                      const char* cat, int64_t tid, sim::Time ts) {
+    Emit("b", name, cat, id, tid, ts);
+    open_.emplace(id, OpenSpan{std::move(name), cat, tid, ts});
+  }
+  void CloseAsRecorded(const std::string& id, const std::string& name,
+                       const char* cat, int64_t tid, sim::Time ts) {
+    Emit("e", name, cat, id, tid, ts);
+    open_.erase(id);
+  }
+
   /// Ends every span still open (a run can finish with ops parked in WAIT).
   void CloseAll(sim::Time ts) {
     // Deterministic order: open_ is an ordered map keyed by span id.
@@ -132,6 +146,10 @@ std::string WaitKey(const TraceEvent& e) {
          (e.detail != nullptr ? e.detail : "?");
 }
 
+std::string WaitName(const TraceEvent& e) {
+  return std::string("WAIT ") + (e.detail != nullptr ? e.detail : "?");
+}
+
 std::string SubtxnKey(int64_t site, int64_t txn) {
   return "t" + std::to_string(site) + ":" + std::to_string(txn);
 }
@@ -184,13 +202,11 @@ void WriteChromeTrace(std::ostream& os, const std::vector<TraceEvent>& events,
         break;
 
       case TraceEventKind::kWaitEnter:
-        spans.Open(WaitKey(e),
-                   std::string("WAIT ") + (e.detail != nullptr ? e.detail : "?"),
-                   "wait", 1, e.time);
+        spans.OpenAsRecorded(WaitKey(e), WaitName(e), "wait", 1, e.time);
         break;
       case TraceEventKind::kWaitExit:
       case TraceEventKind::kWaitAbandon:
-        spans.Close(WaitKey(e), e.time);
+        spans.CloseAsRecorded(WaitKey(e), WaitName(e), "wait", 1, e.time);
         if (e.kind == TraceEventKind::kWaitAbandon) EmitInstant(w, e);
         break;
 

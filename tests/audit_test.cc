@@ -192,6 +192,43 @@ TEST(AuditMutationTest, TsgdValidatorDetectsInjectedDependencyCycle) {
 }
 
 // --------------------------------------------------------------------
+// wakeup-complete: Scheme 0 with ack@s left out of its wake rules. The
+// ack hands the site's queue head to a waiting ser, which GTM2 then never
+// retries; the audit re-evaluates the un-woken waiters after the drain.
+// --------------------------------------------------------------------
+
+class AckWakesNothingScheme0 : public gtm::Scheme0 {
+ public:
+  bool WakeClasses(const gtm::QueueOp&,
+                   std::vector<gtm::WakeClass>*) const override {
+    return true;  // Sabotage: no act unblocks anything.
+  }
+};
+
+TEST(AuditMutationTest, UnwokenReadyWaiterIsFlagged) {
+  if (!audit::kAuditCompiledIn) GTEST_SKIP() << "audit compiled out";
+  audit::Auditor collector(Collecting());
+  gtm::Gtm2 driver(std::make_unique<AckWakesNothingScheme0>(), {});
+  driver.EnableAudit(Collecting(), &collector);
+
+  driver.Enqueue(gtm::QueueOp::Init(GlobalTxnId(1), {SiteId(0)}));
+  driver.Enqueue(gtm::QueueOp::Init(GlobalTxnId(2), {SiteId(0)}));
+  driver.Enqueue(gtm::QueueOp::Ser(GlobalTxnId(2), SiteId(0)));  // Waits.
+  driver.Enqueue(gtm::QueueOp::Ser(GlobalTxnId(1), SiteId(0)));
+  ASSERT_TRUE(collector.clean());
+  int64_t steps = driver.scheme().steps();
+  int64_t evaluations = driver.stats().cond_evaluations;
+  driver.Enqueue(gtm::QueueOp::Ack(GlobalTxnId(1), SiteId(0)));
+
+  EXPECT_EQ(collector.CountFor("wakeup-complete"), 1);
+  EXPECT_EQ(collector.violations().back().offending_txn, 2);
+  EXPECT_EQ(driver.wait_size(), 1u);
+  // The audit's own cond evaluation is not metered: the ack's act is.
+  EXPECT_EQ(driver.scheme().steps(), steps + 1);
+  EXPECT_EQ(driver.stats().cond_evaluations, evaluations + 1);
+}
+
+// --------------------------------------------------------------------
 // lock-table: a grant injected behind the bookkeeping's back (S/X
 // co-grant) must fail the table self-check at the next lock event.
 // --------------------------------------------------------------------

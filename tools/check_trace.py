@@ -63,6 +63,12 @@ by act(init)) and "delta" (Eliminate_Cycles) dependencies point into the
 event's transaction: b == txn. "order" dependencies (act(ser) fixing the
 order at the site) point out of it: a == txn.
 
+The WAIT sub-schema: GTM2's WAIT dwell renders as "wait" spans whose id
+is w<txn>:<site>:<kind> and whose name is "WAIT <kind>", exported exactly
+as recorded. Each end (wait_exit, or wait_abandon, which is followed by
+its instant) must close an open span of the same txn, site and kind, and
+an operation must not enter WAIT again while its span is open.
+
 The metrics-engine sub-schema (always-on unless --metrics=0): the report's
 "metrics" section must carry zero balance violations, per-phase ticks that
 sum EXACTLY to the total measured lifetime, the full nine-phase taxonomy,
@@ -92,6 +98,7 @@ SITE_HEALTH_EVENTS = {"site_suspect", "site_down", "site_up"}
 DEP_ADD_ENDPOINT = {"executed": "b", "delta": "b", "order": "a"}
 
 ATTEMPT_NAME = re.compile(r"^G(\d+) attempt (\d+)$")
+WAIT_ID = re.compile(r"^w(-?\d+):(-?\d+):(\w+|\?)$")
 
 
 def fail(msg):
@@ -129,6 +136,9 @@ def check_trace(path):
     promote_replayed = 0
     last_epoch = 0
     promote_tail = 0
+    open_waits = set()  # (txn, site, kind) with an open WAIT span
+    wait_spans = 0
+    closed_wait = None  # (event index, key) of the last WAIT span end
     for i, ev in enumerate(events):
         if not isinstance(ev, dict):
             fail(f"{path}: event {i} is not an object")
@@ -148,6 +158,29 @@ def check_trace(path):
             if "id" not in ev or "cat" not in ev:
                 fail(f"{path}: async event {i} lacks id/cat")
             key = (ev["cat"], ev["id"], ev["pid"])
+            if ev["cat"] == "wait":
+                m = WAIT_ID.match(str(ev["id"]))
+                if not m:
+                    fail(f"{path}: event {i} WAIT span id {ev['id']!r}, "
+                         f"expected 'w<txn>:<site>:<kind>'")
+                wait = (int(m.group(1)), int(m.group(2)), m.group(3))
+                if ev["name"] != f"WAIT {wait[2]}":
+                    fail(f"{path}: event {i} WAIT span named "
+                         f"{ev['name']!r} for kind {wait[2]!r}")
+                if ph == "b":
+                    if wait in open_waits:
+                        fail(f"{path}: event {i} {wait[2]} of G{wait[0]} "
+                             f"(site {wait[1]}) enters WAIT while already "
+                             f"waiting")
+                    open_waits.add(wait)
+                    wait_spans += 1
+                else:
+                    if wait not in open_waits:
+                        fail(f"{path}: event {i} {wait[2]} of G{wait[0]} "
+                             f"(site {wait[1]}) leaves WAIT without a "
+                             f"matching wait_enter")
+                    open_waits.discard(wait)
+                    closed_wait = (i, wait)
             if ph == "b":
                 open_async[key] = open_async.get(key, 0) + 1
                 if ev["cat"] == "crash":
@@ -239,7 +272,14 @@ def check_trace(path):
                     open_failover -= 1
         elif ph == "i":
             name, args = ev["name"], ev.get("args", {})
-            if name == "net_fault":
+            if name == "wait_abandon":
+                # The exporter ends the span, then emits this instant.
+                wait = (args.get("txn"), args.get("site", -1),
+                        args.get("detail"))
+                if closed_wait != (i - 1, wait):
+                    fail(f"{path}: event {i} wait_abandon of {wait} does "
+                         f"not follow the end of its WAIT span")
+            elif name == "net_fault":
                 if args.get("detail") not in NET_FAULT_DETAILS:
                     fail(f"{path}: event {i} net_fault with detail "
                          f"{args.get('detail')!r}")
@@ -371,7 +411,7 @@ def check_trace(path):
           f"resubmits={fault_counts['resubmits']}, "
           f"downgrades={downgrades}, recoveries={recovery_spans}, "
           f"gtm_crashes={gtm_crashes}, promotions={promotes}, "
-          f"dep_adds={dep_adds})")
+          f"dep_adds={dep_adds}, wait_spans={wait_spans})")
     return {"downgrades": downgrades, "recovery_spans": recovery_spans,
             "replayed_records": replayed_records,
             "gtm_crashes": gtm_crashes, "gtm_recovers": gtm_recovers,
