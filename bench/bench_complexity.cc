@@ -119,7 +119,8 @@ Tsgd ScheduledTsgd(int n, int dav, int m, Rng* rng, GlobalTxnId* newcomer) {
     size_t prefix = rng->NextBelow(members.size() + 1);
     for (size_t i = 0; i < prefix; ++i) {
       for (size_t j = i + 1; j < members.size(); ++j) {
-        tsgd.AddDependency(site, members[i], members[j]);
+        tsgd.AddDependency(tsgd.SiteIndexOf(site), tsgd.SlotOf(members[i]),
+                           tsgd.SlotOf(members[j]));
       }
     }
     executed[static_cast<size_t>(site.value())].assign(members.begin(), members.begin() + prefix);
@@ -128,7 +129,8 @@ Tsgd ScheduledTsgd(int n, int dav, int m, Rng* rng, GlobalTxnId* newcomer) {
   tsgd.InsertTxn(*newcomer, pick());
   for (SiteId site : tsgd.SitesOf(*newcomer)) {
     for (GlobalTxnId other : executed[static_cast<size_t>(site.value())]) {
-      tsgd.AddDependency(site, other, *newcomer);
+      tsgd.AddDependency(tsgd.SiteIndexOf(site), tsgd.SlotOf(other),
+                         tsgd.SlotOf(*newcomer));
     }
   }
   return tsgd;

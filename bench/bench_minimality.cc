@@ -86,7 +86,8 @@ bool AcyclicWith(const Tsgd& base, GlobalTxnId newcomer,
   for (GlobalTxnId txn : ids) copy.InsertTxn(txn, base.SitesOf(txn));
   for (int index : chosen) {
     const Dependency& dep = candidates[static_cast<size_t>(index)];
-    copy.AddDependency(dep.site, dep.from, dep.to);
+    copy.AddDependency(copy.SiteIndexOf(dep.site), copy.SlotOf(dep.from),
+                       copy.SlotOf(dep.to));
   }
   return !copy.HasCycleInvolving(newcomer);
 }

@@ -11,20 +11,22 @@ namespace mdbs::gtm {
 
 void Scheme2::ActInit(const QueueOp& op) {
   tsgd_.InsertTxn(op.txn, op.sites);
+  const uint32_t slot = tsgd_.SlotOf(op.txn);
   // Dependencies from every already-executed ser operation at each site:
   // those transactions are serialized before G̃_i there.
   for (SiteId site : op.sites) {
+    const uint32_t u = tsgd_.SiteIndexOf(site);
     const std::vector<GlobalTxnId>& members = tsgd_.TxnsAt(site);
-    const std::vector<uint8_t>& flags = tsgd_.FlagsAt(site);
+    const std::vector<uint32_t>& slots = tsgd_.SlotsAt(u);
+    const std::vector<uint8_t>& flags = tsgd_.FlagsAt(u);
     for (size_t i = 0; i < members.size(); ++i) {
       AddSteps(1);
-      GlobalTxnId other = members[i];
-      if (other == op.txn) continue;
+      if (slots[i] == slot) continue;
       if ((flags[i] & kExecuted) != 0) {
-        tsgd_.AddDependency(site, other, op.txn);
+        tsgd_.AddDependency(u, slots[i], slot);
         if (trace_ != nullptr) {
           trace_->Record(obs::TraceEventKind::kDepAdd, op.txn.value(),
-                         site.value(), other.value(), op.txn.value(),
+                         site.value(), members[i].value(), op.txn.value(),
                          "executed");
         }
       }
@@ -39,7 +41,7 @@ void Scheme2::ActInit(const QueueOp& op) {
     AddSteps(steps);
     if (delta.empty()) break;
     for (const Dependency& dep : delta) {
-      tsgd_.AddDependency(dep.site, dep.from, dep.to);
+      tsgd_.AddDependency(dep.site_index, dep.from_slot, dep.to_slot);
       if (trace_ != nullptr) {
         trace_->Record(obs::TraceEventKind::kDepAdd, op.txn.value(),
                        dep.site.value(), dep.from.value(), dep.to.value(),
@@ -116,26 +118,28 @@ Verdict Scheme2::CondSer(GlobalTxnId txn, SiteId site) {
 }
 
 void Scheme2::ActSer(GlobalTxnId txn, SiteId site) {
-  tsgd_.AddEdgeFlags(txn, site, kExecuted);
+  const uint32_t u = tsgd_.SiteIndexOf(site);
+  const uint32_t slot = tsgd_.SlotOf(txn);
+  tsgd_.AddEdgeFlags(u, slot, kExecuted);
   // The execution order is now fixed: G̃_i precedes every ser operation at
   // this site that has not executed yet.
   const std::vector<GlobalTxnId>& members = tsgd_.TxnsAt(site);
-  const std::vector<uint8_t>& flags = tsgd_.FlagsAt(site);
+  const std::vector<uint32_t>& slots = tsgd_.SlotsAt(u);
+  const std::vector<uint8_t>& flags = tsgd_.FlagsAt(u);
   for (size_t i = 0; i < members.size(); ++i) {
     AddSteps(1);
-    GlobalTxnId other = members[i];
-    if (other == txn || (flags[i] & kExecuted) != 0) continue;
-    tsgd_.AddDependency(site, txn, other);
+    if (slots[i] == slot || (flags[i] & kExecuted) != 0) continue;
+    tsgd_.AddDependency(u, slot, slots[i]);
     if (trace_ != nullptr) {
       trace_->Record(obs::TraceEventKind::kDepAdd, txn.value(), site.value(),
-                     txn.value(), other.value(), "order");
+                     txn.value(), members[i].value(), "order");
     }
   }
 }
 
 void Scheme2::ActAck(GlobalTxnId txn, SiteId site) {
   AddSteps(1);
-  tsgd_.AddEdgeFlags(txn, site, kAcked);
+  tsgd_.AddEdgeFlags(tsgd_.SiteIndexOf(site), tsgd_.SlotOf(txn), kAcked);
 }
 
 Verdict Scheme2::CondFin(GlobalTxnId txn) {
@@ -224,7 +228,8 @@ bool Scheme2::DecodeState(const uint8_t* data, size_t size) {
       return std::binary_search(sites.begin(), sites.end(), site);
     };
     if (!has_edge(from) || !has_edge(to)) return false;
-    tsgd_.AddDependency(site, from, to);
+    tsgd_.AddDependency(tsgd_.SiteIndexOf(site), tsgd_.SlotOf(from),
+                        tsgd_.SlotOf(to));
   }
   for (uint8_t flag : {kExecuted, kAcked}) {
     uint32_t n_flagged = c.U32();
@@ -235,7 +240,7 @@ bool Scheme2::DecodeState(const uint8_t* data, size_t size) {
       if (!c.ok()) return false;
       const std::vector<SiteId>& sites = tsgd_.SitesOf(txn);
       if (!std::binary_search(sites.begin(), sites.end(), site)) return false;
-      tsgd_.AddEdgeFlags(txn, site, flag);
+      tsgd_.AddEdgeFlags(tsgd_.SiteIndexOf(site), tsgd_.SlotOf(txn), flag);
     }
   }
   return c.ok() && c.exhausted();

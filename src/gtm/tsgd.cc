@@ -23,11 +23,6 @@ const std::vector<GlobalTxnId>& NoTxns() {
   return empty;
 }
 
-const std::vector<uint8_t>& NoFlags() {
-  static const std::vector<uint8_t>& empty = *new std::vector<uint8_t>();
-  return empty;
-}
-
 void InsertSorted(std::vector<GlobalTxnId>* list, GlobalTxnId txn) {
   list->insert(std::lower_bound(list->begin(), list->end(), txn), txn);
 }
@@ -47,12 +42,12 @@ void EraseUnsorted(std::vector<GlobalTxnId>* list, GlobalTxnId txn) {
 
 }  // namespace
 
-uint32_t Tsgd::SiteIndex(SiteId site) const {
+uint32_t Tsgd::SiteIndexOf(SiteId site) const {
   auto it = site_index_.find(site);
   return it == site_index_.end() ? kNone : it->second;
 }
 
-uint32_t Tsgd::Slot(GlobalTxnId txn) const {
+uint32_t Tsgd::SlotOf(GlobalTxnId txn) const {
   auto it = slot_of_.find(txn);
   return it == slot_of_.end() ? kNone : it->second;
 }
@@ -124,7 +119,7 @@ void Tsgd::InsertTxn(GlobalTxnId txn, const std::vector<SiteId>& sites) {
   node.into.resize(node.sites.size());
   node.out.resize(node.sites.size());
   for (SiteId site : node.sites) {
-    uint32_t u = SiteIndex(site);
+    uint32_t u = SiteIndexOf(site);
     if (u == kNone) {
       u = static_cast<uint32_t>(sites_.size());
       site_index_.emplace(site, u);
@@ -144,22 +139,24 @@ void Tsgd::InsertTxn(GlobalTxnId txn, const std::vector<SiteId>& sites) {
 }
 
 void Tsgd::RemoveTxn(GlobalTxnId txn) {
-  uint32_t slot = Slot(txn);
+  uint32_t slot = SlotOf(txn);
   if (slot == kNone) return;
   Node& node = nodes_[slot];
   for (uint32_t e = 0; e < node.sites.size(); ++e) {
     uint32_t u = node.site_index[e];
     // Drop dependencies at this site that involve txn, both directions.
     for (GlobalTxnId source : node.into[e]) {
-      Node& other = nodes_[Slot(source)];
+      uint32_t other_slot = SlotOf(source);
+      Node& other = nodes_[other_slot];
       EraseUnsorted(&other.out[EdgeOf(other, u)], txn);
-      SetBit(u, Slot(source), slot, false);
+      SetBit(u, other_slot, slot, false);
       --dep_count_;
     }
     for (GlobalTxnId target : node.out[e]) {
-      Node& other = nodes_[Slot(target)];
+      uint32_t other_slot = SlotOf(target);
+      Node& other = nodes_[other_slot];
       EraseSorted(&other.into[EdgeOf(other, u)], txn);
-      SetBit(u, slot, Slot(target), false);
+      SetBit(u, slot, other_slot, false);
       --dep_count_;
     }
     node.into[e].clear();
@@ -176,45 +173,43 @@ void Tsgd::RemoveTxn(GlobalTxnId txn) {
 }
 
 const std::vector<SiteId>& Tsgd::SitesOf(GlobalTxnId txn) const {
-  uint32_t slot = Slot(txn);
+  uint32_t slot = SlotOf(txn);
   return slot == kNone ? NoSites() : nodes_[slot].sites;
 }
 
 const std::vector<GlobalTxnId>& Tsgd::TxnsAt(SiteId site) const {
-  uint32_t u = SiteIndex(site);
+  uint32_t u = SiteIndexOf(site);
   return u == kNone ? NoTxns() : sites_[u].txns;
 }
 
 uint8_t Tsgd::EdgeFlags(GlobalTxnId txn, SiteId site) const {
-  uint32_t u = SiteIndex(site);
+  uint32_t u = SiteIndexOf(site);
   uint32_t member = MemberOf(u, txn);
   return member == kNone ? 0 : sites_[u].flags[member];
 }
 
-void Tsgd::AddEdgeFlags(GlobalTxnId txn, SiteId site, uint8_t flags) {
-  uint32_t u = SiteIndex(site);
-  uint32_t member = MemberOf(u, txn);
-  MDBS_CHECK(member != kNone) << "no edge (" << txn << ", " << site << ")";
+void Tsgd::AddEdgeFlags(uint32_t u, uint32_t slot, uint8_t flags) {
+  MDBS_CHECK(u < sites_.size() && slot < nodes_.size() &&
+             nodes_[slot].id.valid())
+      << "no edge (slot " << slot << ", site index " << u << ")";
+  uint32_t member = MemberOf(u, nodes_[slot].id);
+  MDBS_CHECK(member != kNone) << "no edge (" << nodes_[slot].id << ", "
+                              << sites_[u].id << ")";
   sites_[u].flags[member] |= flags;
 }
 
-const std::vector<uint8_t>& Tsgd::FlagsAt(SiteId site) const {
-  uint32_t u = SiteIndex(site);
-  return u == kNone ? NoFlags() : sites_[u].flags;
-}
-
-void Tsgd::AddDependency(SiteId site, GlobalTxnId from, GlobalTxnId to) {
-  MDBS_CHECK(from != to) << "self-dependency on " << from;
-  uint32_t u = SiteIndex(site);
-  uint32_t f = Slot(from);
-  uint32_t t = Slot(to);
-  MDBS_CHECK(u != kNone && f != kNone && t != kNone)
-      << "dependency " << from << " -> " << to << " at " << site
-      << " names an unknown transaction or site";
+void Tsgd::AddDependency(uint32_t u, uint32_t f, uint32_t t) {
+  MDBS_CHECK(u < sites_.size() && f < nodes_.size() && t < nodes_.size() &&
+             nodes_[f].id.valid() && nodes_[t].id.valid())
+      << "dependency at site index " << u << " from slot " << f
+      << " to slot " << t << " names an unknown transaction or site";
+  const GlobalTxnId from = nodes_[f].id;
+  const GlobalTxnId to = nodes_[t].id;
+  MDBS_CHECK(f != t) << "self-dependency on " << from;
   uint32_t from_edge = EdgeOf(nodes_[f], u);
   uint32_t to_edge = EdgeOf(nodes_[t], u);
   MDBS_CHECK(from_edge != kNone && to_edge != kNone)
-      << "dependency " << from << " -> " << to << " at " << site
+      << "dependency " << from << " -> " << to << " at " << sites_[u].id
       << " involves a transaction with no edge at the site";
   if (Bit(u, f, t)) return;
   SetBit(u, f, t, true);
@@ -223,17 +218,13 @@ void Tsgd::AddDependency(SiteId site, GlobalTxnId from, GlobalTxnId to) {
   ++dep_count_;
 }
 
-bool Tsgd::HasDependency(SiteId site, GlobalTxnId from,
-                         GlobalTxnId to) const {
-  uint32_t u = SiteIndex(site);
-  uint32_t f = Slot(from);
-  uint32_t t = Slot(to);
+bool Tsgd::HasDependency(uint32_t u, uint32_t f, uint32_t t) const {
   return u != kNone && f != kNone && t != kNone && Bit(u, f, t);
 }
 
 const std::vector<GlobalTxnId>& Tsgd::DependenciesInto(GlobalTxnId txn,
                                                        SiteId site) const {
-  uint32_t slot = Slot(txn);
+  uint32_t slot = SlotOf(txn);
   if (slot == kNone) return NoTxns();
   const Node& node = nodes_[slot];
   for (uint32_t e = 0; e < node.sites.size(); ++e) {
@@ -281,7 +272,7 @@ Status Tsgd::Validate() const {
     const Node& node = nodes_[slot];
     if (!node.id.valid()) continue;
     ++live;
-    if (Slot(node.id) != slot) {
+    if (SlotOf(node.id) != slot) {
       return Status::Internal("TSGD: slot of " + ToString(node.id) +
                               " is not indexed");
     }
@@ -327,7 +318,7 @@ Status Tsgd::Validate() const {
     }
     for (size_t i = 0; i < site.txns.size(); ++i) {
       ++site_edges;
-      if (Slot(site.txns[i]) != site.slots[i] ||
+      if (SlotOf(site.txns[i]) != site.slots[i] ||
           EdgeOf(nodes_[site.slots[i]], u) == kNone) {
         return Status::Internal("TSGD: edge " +
                                 edge_name(site.txns[i], site.id) +
@@ -356,7 +347,7 @@ Status Tsgd::Validate() const {
       into_count += node.into[e].size();
       out_count += node.out[e].size();
       for (GlobalTxnId from : node.into[e]) {
-        uint32_t f = Slot(from);
+        uint32_t f = SlotOf(from);
         if (f == kNone || EdgeOf(nodes_[f], u) == kNone) {
           return Status::Internal(
               "TSGD: dependency (" + ToString(from) + ", " +
@@ -367,7 +358,7 @@ Status Tsgd::Validate() const {
         const std::vector<GlobalTxnId>& out =
             nodes_[f].out[EdgeOf(nodes_[f], u)];
         if (std::find(out.begin(), out.end(), node.id) == out.end() ||
-            !Bit(u, f, Slot(node.id))) {
+            !Bit(u, f, SlotOf(node.id))) {
           return Status::Internal("TSGD: dependency (" + ToString(from) +
                                   " -> " + ToString(node.id) + " at " +
                                   ToString(site) +
@@ -426,7 +417,9 @@ bool Tsgd::CycleSearch(GlobalTxnId origin, GlobalTxnId current,
       if (next == current) continue;
       // Traversal current -> site -> next means "current serializes before
       // next at site"; the opposing dependency forbids that orientation.
-      if (HasDependency(site, next, current)) continue;
+      if (HasDependency(SiteIndexOf(site), SlotOf(next), SlotOf(current))) {
+        continue;
+      }
       if (next == origin) {
         if (txns_on_path->size() >= 2) return true;
         continue;
@@ -475,7 +468,7 @@ std::vector<Dependency> Tsgd::EliminateCycles(GlobalTxnId origin,
   // cursor: the same moves, the same Δ in the same order, without the
   // re-examinations.
   std::vector<Dependency> delta;
-  const uint32_t o = Slot(origin);
+  const uint32_t o = SlotOf(origin);
   if (o == kNone) return delta;
   NewEpoch();
   const uint32_t epoch = epoch_;
@@ -504,7 +497,7 @@ std::vector<Dependency> Tsgd::EliminateCycles(GlobalTxnId origin,
         if (w == o) {
           if (in_delta_[base + v] == epoch || Bit(u, v, w)) continue;
           in_delta_[base + v] = epoch;
-          delta.push_back(Dependency{site.id, node.id, origin});
+          delta.push_back(Dependency{site.id, node.id, origin, u, v, o});
           continue;  // Stay at v and keep searching.
         }
         if (used_[base + w] == epoch || Bit(u, v, w)) continue;

@@ -11,12 +11,21 @@
 
 namespace mdbs::gtm {
 
+/// No TSGD slot or site index.
+inline constexpr uint32_t kNoTsgdIndex = UINT32_MAX;
+
 /// A dependency (from, s) -> (s, to): ser_s(from) is (or must be) processed
 /// before ser_s(to), i.e. `from` serializes before `to` at site `s`.
 struct Dependency {
   SiteId site;
   GlobalTxnId from;
   GlobalTxnId to;
+  /// The TSGD's site index of `site` and slots of `from` and `to`, when
+  /// the producer knew them (Tsgd::EliminateCycles does). Valid while both
+  /// transactions stay in the graph; equality ignores them.
+  uint32_t site_index = kNoTsgdIndex;
+  uint32_t from_slot = kNoTsgdIndex;
+  uint32_t to_slot = kNoTsgdIndex;
 
   friend bool operator==(const Dependency& a, const Dependency& b) {
     return a.site == b.site && a.from == b.from && a.to == b.to;
@@ -38,7 +47,10 @@ struct Dependency {
 /// cycle, degenerating to Scheme 1's TSG.
 ///
 /// Layout (DESIGN.md §2): live transactions occupy dense, reused slots and
-/// sites dense indices. Each site keeps its members id-sorted and a bit
+/// sites dense indices. A transaction keeps its slot until it is removed
+/// and a site its index forever; the calls that a scheme makes per member
+/// of a site take these indices, so a caller looks an id up once and not
+/// once per member. Each site keeps its members id-sorted and a bit
 /// matrix of its dependencies (row = `to` slot, column = `from` slot), so
 /// the dependency test is one bit; each (txn, site) edge keeps its incoming
 /// sources id-sorted and its outgoing targets, for in-place iteration and
@@ -57,10 +69,23 @@ class Tsgd {
   /// Transactions with an edge at `site`, in id order (deterministic).
   const std::vector<GlobalTxnId>& TxnsAt(SiteId site) const;
 
-  /// Adds (from, site) -> (site, to). Both transactions must have an edge
-  /// at `site`; adding a present dependency is a no-op.
-  void AddDependency(SiteId site, GlobalTxnId from, GlobalTxnId to);
-  bool HasDependency(SiteId site, GlobalTxnId from, GlobalTxnId to) const;
+  /// The slot of a live `txn` / the index of a known `site`; kNoTsgdIndex
+  /// otherwise.
+  uint32_t SlotOf(GlobalTxnId txn) const;
+  uint32_t SiteIndexOf(SiteId site) const;
+  /// The slots of the members of `u`, a known site index, parallel to
+  /// TxnsAt.
+  const std::vector<uint32_t>& SlotsAt(uint32_t u) const {
+    return sites_[u].slots;
+  }
+
+  /// Adds (from, u) -> (u, to) between two slots at site index `u`. Both
+  /// transactions must have an edge at the site; adding a present
+  /// dependency is a no-op.
+  void AddDependency(uint32_t u, uint32_t from, uint32_t to);
+  /// Whether (from, u) -> (u, to) is present; false for kNoTsgdIndex
+  /// arguments.
+  bool HasDependency(uint32_t u, uint32_t from, uint32_t to) const;
   /// Sources of dependencies (·, site) -> (site, txn), in id order. The
   /// reference is valid until the next mutation.
   const std::vector<GlobalTxnId>& DependenciesInto(GlobalTxnId txn,
@@ -73,10 +98,14 @@ class Tsgd {
   /// ser acked). An edge starts with none and takes them with it when its
   /// transaction is removed.
   uint8_t EdgeFlags(GlobalTxnId txn, SiteId site) const;
-  /// Adds `flags` to the edge (txn, site), which must exist.
-  void AddEdgeFlags(GlobalTxnId txn, SiteId site, uint8_t flags);
-  /// The flags of `site`'s edges, parallel to TxnsAt(site).
-  const std::vector<uint8_t>& FlagsAt(SiteId site) const;
+  /// Adds `flags` to the edge between site index `u` and slot `slot`,
+  /// which must exist.
+  void AddEdgeFlags(uint32_t u, uint32_t slot, uint8_t flags);
+  /// The flags of the edges at `u`, a known site index, parallel to
+  /// TxnsAt.
+  const std::vector<uint8_t>& FlagsAt(uint32_t u) const {
+    return sites_[u].flags;
+  }
 
   size_t TxnCount() const { return slot_of_.size(); }
   size_t DependencyCount() const { return dep_count_; }
@@ -116,7 +145,7 @@ class Tsgd {
                                           int64_t* steps) const;
 
  private:
-  static constexpr uint32_t kNone = UINT32_MAX;
+  static constexpr uint32_t kNone = kNoTsgdIndex;
 
   /// A live transaction. Its edges are parallel vectors in site-id order.
   struct Node {
@@ -144,8 +173,6 @@ class Tsgd {
     uint32_t member;
   };
 
-  uint32_t SiteIndex(SiteId site) const;
-  uint32_t Slot(GlobalTxnId txn) const;
   /// The position of `txn` among the members of site index `u`, or kNone.
   uint32_t MemberOf(uint32_t u, GlobalTxnId txn) const;
   /// The position of site index `u` among `node`'s edges, or kNone.

@@ -127,20 +127,30 @@ std::optional<std::vector<size_t>> UndirectedMultigraph::FindCycleThrough(
 }
 
 uint32_t DirectedGraph::Intern(int64_t node) {
+  IndexKeys();
   auto [it, inserted] =
       index_.try_emplace(node, static_cast<uint32_t>(keys_.size()));
-  if (inserted) {
-    keys_.push_back(node);
-    compact_ = false;  // offsets_ needs a row for the new node
-  }
+  if (inserted) AppendNode(node);
+  indexed_ = keys_.size();
   return it->second;
+}
+
+uint32_t DirectedGraph::AppendNode(int64_t key) {
+  keys_.push_back(key);
+  compact_ = false;  // offsets_ needs a row for the new node
+  return static_cast<uint32_t>(keys_.size() - 1);
+}
+
+void DirectedGraph::IndexKeys() const {
+  for (; indexed_ < keys_.size(); ++indexed_) {
+    index_.try_emplace(keys_[indexed_], static_cast<uint32_t>(indexed_));
+  }
 }
 
 void DirectedGraph::AddEdge(int64_t from, int64_t to) {
   uint32_t a = Intern(from);
   uint32_t b = Intern(to);
-  edges_.emplace_back(a, b);
-  compact_ = false;
+  AddIndexedEdge(a, b);
 }
 
 void DirectedGraph::Compact() const {
@@ -167,7 +177,13 @@ void DirectedGraph::Compact() const {
   compact_ = true;
 }
 
+bool DirectedGraph::HasNode(int64_t node) const {
+  IndexKeys();
+  return index_.contains(node);
+}
+
 bool DirectedGraph::HasEdge(int64_t from, int64_t to) const {
+  IndexKeys();
   auto a = index_.find(from);
   auto b = index_.find(to);
   if (a == index_.end() || b == index_.end()) return false;

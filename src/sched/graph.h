@@ -57,20 +57,35 @@ class UndirectedMultigraph {
 /// Directed graph over int64 node keys with cycle detection and
 /// topological ordering; used for serialization graphs of all flavors.
 ///
-/// Flat layout: keys are interned to dense indices in first-seen order, and
-/// edges are appended to one vector of index pairs. The first query after
-/// an addition counting-sorts that vector by source and deduplicates it,
+/// Flat layout: nodes are dense indices, each with its key, and edges are
+/// appended to one vector of index pairs. The first query after an
+/// addition counting-sorts that vector by source and deduplicates it,
 /// which turns it into a CSR adjacency (row offsets per node into the
 /// sorted pairs). So a graph built in one go and then queried is compacted
-/// once, in O(edges), and the searches walk contiguous memory. Queries are
-/// const but compact lazily, so a graph must not be queried from two
+/// once, in O(edges), and the searches walk contiguous memory.
+///
+/// Nodes are added in one of two ways. A caller that numbers its nodes
+/// densely itself (the serializability oracle) appends them and links
+/// their indices, and no key is hashed. Otherwise AddNode/AddEdge intern
+/// keys to indices in first-seen order. The keyed queries (HasNode,
+/// HasEdge) index appended keys on first use. Queries are const but
+/// compact and index lazily, so a graph must not be queried from two
 /// threads before its first query returned.
 class DirectedGraph {
  public:
   void AddNode(int64_t node) { Intern(node); }
   void AddEdge(int64_t from, int64_t to);
 
-  bool HasNode(int64_t node) const { return index_.contains(node); }
+  /// Adds a node under `key`, which must not be a node yet, and returns
+  /// its index: the NodeCount() before the call.
+  uint32_t AppendNode(int64_t key);
+  /// Adds the edge between two node indices.
+  void AddIndexedEdge(uint32_t from, uint32_t to) {
+    edges_.emplace_back(from, to);
+    compact_ = false;
+  }
+
+  bool HasNode(int64_t node) const;
   bool HasEdge(int64_t from, int64_t to) const;
 
   size_t NodeCount() const { return keys_.size(); }
@@ -88,14 +103,18 @@ class DirectedGraph {
 
  private:
   uint32_t Intern(int64_t node);
+  /// Adds the keys appended since the last call to index_.
+  void IndexKeys() const;
   /// Sorts and deduplicates edges_ and rebuilds offsets_, if stale.
   void Compact() const;
   /// Successor rows: edges_[offsets_[n] .. offsets_[n + 1]) leave node n.
   uint32_t RowBegin(uint32_t node) const { return offsets_[node]; }
   uint32_t RowEnd(uint32_t node) const { return offsets_[node + 1]; }
 
-  std::unordered_map<int64_t, uint32_t> index_;
   std::vector<int64_t> keys_;  // dense index -> key
+  // key -> dense index, for keys_[0 .. indexed_).
+  mutable std::unordered_map<int64_t, uint32_t> index_;
+  mutable size_t indexed_ = 0;
   // (from, to) dense-index pairs; sorted and unique while compact_.
   mutable std::vector<std::pair<uint32_t, uint32_t>> edges_;
   mutable std::vector<uint32_t> offsets_{0};

@@ -13,34 +13,54 @@ std::string RecordedOp::ToString() const {
   return os.str();
 }
 
-void ScheduleRecorder::RecordBegin(SiteId site, TxnId txn,
-                                   GlobalTxnId global) {
+TxnOrdinal ScheduleRecorder::RecordBegin(SiteId site, TxnId txn,
+                                         GlobalTxnId global) {
   std::lock_guard<std::mutex> lock(mu_);
-  MDBS_CHECK(!txns_.contains(txn)) << txn << " began twice in recorder";
-  txns_[txn] =
-      TxnRecord{txn, site, global, TxnOutcome::kActive, std::nullopt, -1};
+  auto ordinal = static_cast<TxnOrdinal>(txns_.size());
+  bool fresh = ids_->ordinal_of.try_emplace(txn, ordinal).second;
+  MDBS_CHECK(fresh) << txn << " began twice in recorder";
+  TxnRecord record;
+  record.txn = txn;
+  record.site = site;
+  record.global = global;
+  record.global_node =
+      global.valid()
+          ? ids_->global_node_of.try_emplace(global, ordinal).first->second
+          : ordinal;
+  txns_.emplace_back(txn, record);
+  return ordinal;
 }
 
-void ScheduleRecorder::RecordOp(SiteId site, TxnId txn, const DataOp& op,
+void ScheduleRecorder::RecordOp(TxnOrdinal txn, const DataOp& op,
                                 int64_t time, TxnId read_from) {
   std::lock_guard<std::mutex> lock(mu_);
-  ops_.push_back(RecordedOp{next_seq_++, time, site, txn, op, read_from});
+  MDBS_CHECK(txn < txns_.size()) << "operation of unknown ordinal " << txn;
+  const auto& [id, record] = txns_[txn];
+  TxnOrdinal from = kNoTxn;
+  if (read_from == id) {
+    from = txn;  // Read-your-own-writes needs no lookup.
+  } else if (read_from.valid()) {
+    auto it = ids_->ordinal_of.find(read_from);
+    if (it != ids_->ordinal_of.end()) from = it->second;
+  }
+  ops_.push_back(RecordedOp{next_seq_++, time, record.site, id, op,
+                            read_from, txn, from});
 }
 
 void ScheduleRecorder::RecordFinish(
-    TxnId txn, TxnOutcome outcome,
+    TxnOrdinal txn, TxnOutcome outcome,
     std::optional<int64_t> serialization_key) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = txns_.find(txn);
-  MDBS_CHECK(it != txns_.end()) << txn << " finished but never began";
-  it->second.outcome = outcome;
-  it->second.serialization_key = serialization_key;
-  it->second.finish_seq = next_seq_++;
+  MDBS_CHECK(txn < txns_.size()) << "finish of unknown ordinal " << txn;
+  TxnRecord& record = txns_[txn].second;
+  record.outcome = outcome;
+  record.serialization_key = serialization_key;
+  record.finish_seq = next_seq_++;
 }
 
 const TxnRecord* ScheduleRecorder::FindTxn(TxnId txn) const {
-  auto it = txns_.find(txn);
-  return it == txns_.end() ? nullptr : &it->second;
+  auto it = ids_->ordinal_of.find(txn);
+  return it == ids_->ordinal_of.end() ? nullptr : &record(it->second);
 }
 
 int64_t ScheduleRecorder::CommittedCount() const {

@@ -18,15 +18,8 @@ struct Access {
   int64_t site;
   int64_t item;
   const RecordedOp* op;
-  const TxnRecord* txn;  // committed
+  TxnOrdinal txn;  // committed
 };
-
-const TxnRecord* FindCommitted(const ScheduleRecorder& recorder, TxnId txn) {
-  const TxnRecord* record = recorder.FindTxn(txn);
-  return (record != nullptr && record->outcome == TxnOutcome::kCommitted)
-             ? record
-             : nullptr;
-}
 
 struct SiteItemHash {
   size_t operator()(const std::pair<int64_t, int64_t>& key) const {
@@ -49,10 +42,11 @@ std::vector<Access> GroupCommittedAccesses(const ScheduleRecorder& recorder,
   std::vector<uint32_t> group_of;
   std::vector<Access> in_order;
   for (const RecordedOp& op : recorder.ops()) {
-    if (!keep(op.site)) continue;
-    const TxnRecord* record = FindCommitted(recorder, op.txn);
-    if (record == nullptr) continue;
-    Access access{op.site.value(), op.op.item.value(), &op, record};
+    if (!keep(op.site) ||
+        recorder.record(op.txn_ordinal).outcome != TxnOutcome::kCommitted) {
+      continue;
+    }
+    Access access{op.site.value(), op.op.item.value(), &op, op.txn_ordinal};
     auto [it, inserted] = group_index.try_emplace(
         {access.site, access.item}, static_cast<uint32_t>(group_start.size()));
     if (inserted) group_start.push_back(0);
@@ -88,23 +82,24 @@ void ForEachGroup(const std::vector<Access>& accesses, Fn fn) {
   }
 }
 
-/// Calls `emit(from, to)` for the conflict edges of one (site, item) group
-/// between distinct transactions. Instead of all O(k^2) conflicting pairs,
-/// the reduced set — last writer -> next access, readers since the last
-/// write -> next writer — is emitted; it has the same reachability relation
-/// as the full conflict graph (every omitted edge follows a chain of
-/// emitted ones), hence the same cycles, and any per-edge monotonicity
-/// over it extends to all conflict pairs by transitivity.
+/// Calls `emit(from, to)` with the ordinals of the conflict edges of one
+/// (site, item) group between distinct transactions. Instead of all O(k^2)
+/// conflicting pairs, the reduced set — last writer -> next access,
+/// readers since the last write -> next writer — is emitted; it has the
+/// same reachability relation as the full conflict graph (every omitted
+/// edge follows a chain of emitted ones), hence the same cycles, and any
+/// per-edge monotonicity over it extends to all conflict pairs by
+/// transitivity.
 template <typename Emit>
 void ConflictEdges(std::span<const Access> group, Emit emit) {
-  const TxnRecord* last_writer = nullptr;
+  TxnOrdinal last_writer = kNoTxn;
   size_t reads_begin = 0;  // The reads since the last write start here.
   for (size_t i = 0; i < group.size(); ++i) {
-    const TxnRecord* txn = group[i].txn;
-    auto edge = [&](const TxnRecord* from) {
-      if (from != txn) emit(*from, *txn);
+    TxnOrdinal txn = group[i].txn;
+    auto edge = [&](TxnOrdinal from) {
+      if (from != txn) emit(from, txn);
     };
-    if (last_writer != nullptr) edge(last_writer);
+    if (last_writer != kNoTxn) edge(last_writer);
     if (group[i].op->op.type == OpType::kRead) continue;
     for (size_t r = reads_begin; r < i; ++r) edge(group[r].txn);
     reads_begin = i + 1;
@@ -116,25 +111,28 @@ void ConflictEdges(std::span<const Access> group, Emit emit) {
 /// writer's serialization key (timestamp), which orders the versions.
 struct Version {
   int64_t key;
-  const TxnRecord* writer;
+  TxnOrdinal writer;
   auto operator<=>(const Version&) const = default;
 };
 
-/// Calls `emit(from, to)` for the multiversion serialization-graph edges of
-/// one (site, item) group: version order, reads-from, and reader before the
-/// version after the one it read. `versions` is scratch space.
+/// Calls `emit(from, to)` with the ordinals of the multiversion
+/// serialization-graph edges of one (site, item) group: version order,
+/// reads-from, and reader before the version after the one it read.
+/// `versions` is scratch space.
 template <typename Emit>
 void MvsgEdges(const ScheduleRecorder& recorder, std::span<const Access> group,
                std::vector<Version>* versions, Emit emit) {
-  auto edge = [&](const TxnRecord* from, const TxnRecord* to) {
-    if (from != to) emit(*from, *to);
+  auto edge = [&](TxnOrdinal from, TxnOrdinal to) {
+    if (from != to) emit(from, to);
   };
   versions->clear();
   for (const Access& access : group) {
     if (access.op->op.type != OpType::kWrite) continue;
-    MDBS_CHECK(access.txn->serialization_key.has_value())
+    const std::optional<int64_t>& key =
+        recorder.record(access.txn).serialization_key;
+    MDBS_CHECK(key.has_value())
         << "multiversion site writer without a timestamp";
-    versions->push_back(Version{*access.txn->serialization_key, access.txn});
+    versions->push_back(Version{*key, access.txn});
   }
   // A writer that wrote the item twice made one version.
   std::sort(versions->begin(), versions->end());
@@ -149,39 +147,74 @@ void MvsgEdges(const ScheduleRecorder& recorder, std::span<const Access> group,
     // Successor version after the one read (initial version = before all).
     auto successor = versions->begin();
     if (access.op->read_from.valid()) {
-      const TxnRecord* writer = recorder.FindTxn(access.op->read_from);
-      if (writer == nullptr) continue;
+      TxnOrdinal writer = access.op->read_from_ordinal;
+      if (writer == kNoTxn) continue;  // A writer that never began here.
       edge(writer, access.txn);  // Reads-from.
       // An uncommitted writer's version constrains nothing.
-      if (writer->outcome != TxnOutcome::kCommitted) continue;
+      const TxnRecord& record = recorder.record(writer);
+      if (record.outcome != TxnOutcome::kCommitted) continue;
       successor = std::upper_bound(
           versions->begin(), versions->end(),
-          writer->serialization_key.value_or(-1),
+          record.serialization_key.value_or(-1),
           [](int64_t key, const Version& v) { return key < v.key; });
     }
     if (successor != versions->end()) edge(access.txn, successor->writer);
   }
 }
 
-int64_t LocalNodeKey(const TxnRecord& record) { return record.txn.value(); }
-
 bool AllSites(SiteId) { return true; }
 
+/// What a graph's nodes are: transactions, keyed by id (local graphs), or
+/// global transactions, keyed by GlobalNodeKey (global graphs).
+enum class Nodes { kTransactions, kGlobal };
+
+/// Maps transactions to the dense node indices of one graph, numbered in
+/// first-seen order: the order in which the graph would intern their keys,
+/// so nodes, edges, search order and witnesses are those of a keyed build.
+/// The map is an array over ordinals, by a transaction's own ordinal or by
+/// its TxnRecord::global_node.
+class NodeNumbering {
+ public:
+  NodeNumbering(const ScheduleRecorder& recorder, Nodes nodes,
+                DirectedGraph* graph)
+      : recorder_(recorder),
+        nodes_(nodes),
+        graph_(graph),
+        node_of_(recorder.txns().size(), kNoTxn) {}
+
+  uint32_t operator()(TxnOrdinal txn) {
+    const TxnRecord& record = recorder_.record(txn);
+    const bool global = nodes_ == Nodes::kGlobal;
+    uint32_t& node = node_of_[global ? record.global_node : txn];
+    if (node == kNoTxn) {
+      node = graph_->AppendNode(global ? GlobalNodeKey(record)
+                                       : record.txn.value());
+    }
+    return node;
+  }
+
+ private:
+  const ScheduleRecorder& recorder_;
+  Nodes nodes_;
+  DirectedGraph* graph_;
+  std::vector<uint32_t> node_of_;
+};
+
 /// The graph over the committed accesses at the sites `keep` accepts:
-/// conflict edges at single-version sites, MVSG edges at `mv_sites`, with
-/// transactions mapped to nodes by `node_key`. Its nodes are all the
-/// accessing transactions, so those without conflicts count too.
-template <typename SiteFilter, typename NodeKey>
+/// conflict edges at single-version sites, MVSG edges at `mv_sites`. Its
+/// nodes are all the accessing transactions, so those without conflicts
+/// count too.
+template <typename SiteFilter>
 DirectedGraph BuildGraph(const ScheduleRecorder& recorder, SiteFilter keep,
-                         NodeKey node_key,
-                         const std::vector<SiteId>& mv_sites) {
+                         Nodes nodes, const std::vector<SiteId>& mv_sites) {
   DirectedGraph graph;
+  NodeNumbering node(recorder, nodes, &graph);
   std::vector<Access> accesses = GroupCommittedAccesses(recorder, keep);
-  for (const Access& access : accesses) graph.AddNode(node_key(*access.txn));
-  auto add_edge = [&](const TxnRecord& from, const TxnRecord& to) {
-    int64_t a = node_key(from);
-    int64_t b = node_key(to);
-    if (a != b) graph.AddEdge(a, b);
+  for (const Access& access : accesses) node(access.txn);
+  auto add_edge = [&](TxnOrdinal from, TxnOrdinal to) {
+    uint32_t a = node(from);
+    uint32_t b = node(to);
+    if (a != b) graph.AddIndexedEdge(a, b);
   };
   std::vector<Version> versions;
   ForEachGroup(accesses, [&](std::span<const Access> group) {
@@ -229,7 +262,7 @@ int64_t GlobalNodeKey(const TxnRecord& record) {
 
 DirectedGraph BuildLocalConflictGraph(const ScheduleRecorder& recorder,
                                       SiteId site) {
-  return BuildGraph(recorder, AtSite(site), LocalNodeKey, {});
+  return BuildGraph(recorder, AtSite(site), Nodes::kTransactions, {});
 }
 
 SerializabilityResult CheckLocalSerializability(
@@ -238,7 +271,7 @@ SerializabilityResult CheckLocalSerializability(
 }
 
 DirectedGraph BuildGlobalConflictGraph(const ScheduleRecorder& recorder) {
-  return BuildGraph(recorder, AllSites, GlobalNodeKey, {});
+  return BuildGraph(recorder, AllSites, Nodes::kGlobal, {});
 }
 
 SerializabilityResult CheckGlobalSerializability(
@@ -248,7 +281,7 @@ SerializabilityResult CheckGlobalSerializability(
 
 DirectedGraph BuildMultiversionSerializationGraph(
     const ScheduleRecorder& recorder, SiteId site) {
-  return BuildGraph(recorder, AtSite(site), LocalNodeKey, {site});
+  return BuildGraph(recorder, AtSite(site), Nodes::kTransactions, {site});
 }
 
 SerializabilityResult CheckMultiversionSerializability(
@@ -259,15 +292,15 @@ SerializabilityResult CheckMultiversionSerializability(
 SerializabilityResult CheckGlobalSerializabilityMixed(
     const ScheduleRecorder& recorder,
     const std::vector<SiteId>& mv_sites) {
-  return CheckGraph(BuildGraph(recorder, AllSites, GlobalNodeKey, mv_sites));
+  return CheckGraph(BuildGraph(recorder, AllSites, Nodes::kGlobal, mv_sites));
 }
 
 Status CheckStrictness(const ScheduleRecorder& recorder, SiteId site,
                        bool multiversion) {
-  auto finished_before = [&recorder](TxnId txn, int64_t seq) {
-    const TxnRecord* record = recorder.FindTxn(txn);
-    return record != nullptr && record->finish_seq >= 0 &&
-           record->finish_seq < seq;
+  auto finished_before = [&recorder](TxnOrdinal txn, int64_t seq) {
+    if (txn == kNoTxn) return false;
+    int64_t finish = recorder.record(txn).finish_seq;
+    return finish >= 0 && finish < seq;
   };
   auto violation = [&site](const RecordedOp& op, TxnId writer) {
     std::ostringstream os;
@@ -277,34 +310,36 @@ Status CheckStrictness(const ScheduleRecorder& recorder, SiteId site,
     return Status::Internal(os.str());
   };
 
-  std::unordered_map<int64_t, TxnId> last_writer;
+  std::unordered_map<int64_t, TxnOrdinal> last_writer;
   for (const RecordedOp& op : recorder.ops()) {
     if (op.site != site) continue;
     if (op.op.type == OpType::kRead) {
       if (multiversion) {
         // The version read must come from a committed-and-finished writer
         // (or be the reader's own, or the initial version).
-        if (op.read_from.valid() && op.read_from != op.txn &&
-            !finished_before(op.read_from, op.seq)) {
+        if (op.read_from.valid() && op.read_from_ordinal != op.txn_ordinal &&
+            !finished_before(op.read_from_ordinal, op.seq)) {
           return violation(op, op.read_from);
         }
         continue;
       }
       auto it = last_writer.find(op.op.item.value());
-      if (it != last_writer.end() && it->second != op.txn &&
+      if (it != last_writer.end() && it->second != op.txn_ordinal &&
           !finished_before(it->second, op.seq)) {
-        return violation(op, it->second);
+        return violation(op, recorder.txns()[it->second].first);
       }
       continue;
     }
     // Write.
     if (!multiversion) {
-      auto it = last_writer.find(op.op.item.value());
-      if (it != last_writer.end() && it->second != op.txn &&
+      auto [it, first] =
+          last_writer.try_emplace(op.op.item.value(), op.txn_ordinal);
+      if (first) continue;
+      if (it->second != op.txn_ordinal &&
           !finished_before(it->second, op.seq)) {
-        return violation(op, it->second);
+        return violation(op, recorder.txns()[it->second].first);
       }
-      last_writer[op.op.item.value()] = op.txn;
+      it->second = op.txn_ordinal;
     }
   }
   return Status::OK();
@@ -316,7 +351,9 @@ Status CheckSerializationKeyProperty(const ScheduleRecorder& recorder,
   // them extends to every conflicting pair by transitivity, so no graph is
   // needed.
   Status status = Status::OK();
-  auto check = [&](const TxnRecord& from, const TxnRecord& to) {
+  auto check = [&](TxnOrdinal from_txn, TxnOrdinal to_txn) {
+    const TxnRecord& from = recorder.record(from_txn);
+    const TxnRecord& to = recorder.record(to_txn);
     if (!status.ok() || !from.serialization_key.has_value() ||
         !to.serialization_key.has_value() ||
         *from.serialization_key < *to.serialization_key) {

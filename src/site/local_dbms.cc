@@ -58,7 +58,8 @@ Status LocalDbms::Begin(TxnId txn, GlobalTxnId global) {
   if (txns_.contains(txn)) {
     return Status::FailedPrecondition(ToString(txn) + " already active");
   }
-  txns_[txn].global = global;
+  TxnState& state = txns_[txn];
+  state.global = global;
   protocol_->OnBegin(txn);
   if (wal_ != nullptr) {
     storage::WalRecord rec;
@@ -73,7 +74,9 @@ Status LocalDbms::Begin(TxnId txn, GlobalTxnId global) {
     trace_->Record(obs::TraceEventKind::kSiteBegin, txn.value(),
                    config_.id.value(), global.value());
   }
-  if (recorder_ != nullptr) recorder_->RecordBegin(config_.id, txn, global);
+  if (recorder_ != nullptr) {
+    state.ordinal = recorder_->RecordBegin(config_.id, txn, global);
+  }
   return Status::OK();
 }
 
@@ -158,8 +161,7 @@ int64_t LocalDbms::ApplyOp(TxnId txn, TxnState* state, const DataOp& op) {
     if (recorder_ != nullptr) {
       DataOp observed = op;
       observed.value = value;
-      recorder_->RecordOp(config_.id, txn, observed, loop_->now(),
-                          read_from);
+      recorder_->RecordOp(state->ordinal, observed, loop_->now(), read_from);
     }
     return value;
   }
@@ -178,7 +180,7 @@ int64_t LocalDbms::ApplyOp(TxnId txn, TxnState* state, const DataOp& op) {
       MaybeCheckpoint();
     }
     if (recorder_ != nullptr) {
-      recorder_->RecordOp(config_.id, txn, op, loop_->now());
+      recorder_->RecordOp(state->ordinal, op, loop_->now());
     }
   } else {
     auto [buf_it, inserted] = state->write_buffer.try_emplace(op.item);
@@ -253,7 +255,7 @@ void LocalDbms::ProcessCommit(TxnId txn, TxnCallback cb) {
       wal_->Append(rec);
     }
     if (recorder_ != nullptr) {
-      recorder_->RecordOp(config_.id, txn,
+      recorder_->RecordOp(state.ordinal,
                           DataOp::Write(item, state.write_buffer.at(item)),
                           loop_->now());
     }
@@ -277,7 +279,7 @@ void LocalDbms::ProcessCommit(TxnId txn, TxnCallback cb) {
                    config_.id.value(), state.global.value());
   }
   if (recorder_ != nullptr) {
-    recorder_->RecordFinish(txn, TxnOutcome::kCommitted,
+    recorder_->RecordFinish(state.ordinal, TxnOutcome::kCommitted,
                             protocol_->SerializationKey(txn));
   }
   committed_txns_.insert(txn);
@@ -334,7 +336,8 @@ void LocalDbms::DoAbort(TxnId txn, TxnState* state) {
                    config_.id.value(), state->global.value());
   }
   if (recorder_ != nullptr) {
-    recorder_->RecordFinish(txn, TxnOutcome::kAborted, std::nullopt);
+    recorder_->RecordFinish(state->ordinal, TxnOutcome::kAborted,
+                            std::nullopt);
   }
   // Fail the blocked operation's caller, if any.
   if (state->pending_op.has_value()) {
@@ -393,7 +396,8 @@ void LocalDbms::Crash() {
                      config_.id.value(), state.global.value());
     }
     if (recorder_ != nullptr) {
-      recorder_->RecordFinish(txn, TxnOutcome::kAborted, std::nullopt);
+      recorder_->RecordFinish(state.ordinal, TxnOutcome::kAborted,
+                              std::nullopt);
     }
     if (state.pending_op.has_value()) {
       OpCallback cb = std::move(state.pending_cb);

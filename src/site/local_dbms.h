@@ -184,6 +184,8 @@ class LocalDbms : public lcc::ProtocolHost {
  private:
   struct TxnState {
     GlobalTxnId global;
+    /// The recorder's ordinal for this transaction (when recording).
+    sched::TxnOrdinal ordinal = sched::kNoTxn;
     /// Blocked operation awaiting resume, if any.
     std::optional<DataOp> pending_op;
     OpCallback pending_cb;

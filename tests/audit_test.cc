@@ -24,6 +24,14 @@
 namespace mdbs {
 namespace {
 
+/// gtm::Tsgd::AddDependency takes slots and a site index; this looks up
+/// ids.
+void AddDep(gtm::Tsgd* tsgd, SiteId site, GlobalTxnId from,
+            GlobalTxnId to) {
+  tsgd->AddDependency(tsgd->SiteIndexOf(site), tsgd->SlotOf(from),
+                      tsgd->SlotOf(to));
+}
+
 audit::AuditConfig Collecting() {
   audit::AuditConfig config;
   config.fail_fast = false;  // Collect violations instead of aborting.
@@ -150,8 +158,8 @@ class CorruptibleTsgdScheme : public gtm::SchemeNone {
   /// The mutation: a directed dependency cycle G1 -> G2 (at s0) -> G1
   /// (at s1), as if Eliminate_Cycles had been skipped.
   void InjectDependencyCycle() {
-    tsgd_.AddDependency(SiteId(0), GlobalTxnId(1), GlobalTxnId(2));
-    tsgd_.AddDependency(SiteId(1), GlobalTxnId(2), GlobalTxnId(1));
+    AddDep(&tsgd_, SiteId(0), GlobalTxnId(1), GlobalTxnId(2));
+    AddDep(&tsgd_, SiteId(1), GlobalTxnId(2), GlobalTxnId(1));
   }
 
  private:
@@ -184,9 +192,9 @@ TEST(AuditMutationTest, TsgdValidatorDetectsInjectedDependencyCycle) {
   tsgd.InsertTxn(GlobalTxnId(2), {SiteId(0), SiteId(1)});
   ASSERT_TRUE(tsgd.Validate().ok());
 
-  tsgd.AddDependency(SiteId(0), GlobalTxnId(1), GlobalTxnId(2));
+  AddDep(&tsgd, SiteId(0), GlobalTxnId(1), GlobalTxnId(2));
   ASSERT_TRUE(tsgd.Validate().ok());
-  tsgd.AddDependency(SiteId(1), GlobalTxnId(2), GlobalTxnId(1));
+  AddDep(&tsgd, SiteId(1), GlobalTxnId(2), GlobalTxnId(1));
 
   EXPECT_FALSE(tsgd.Validate().ok());
 }

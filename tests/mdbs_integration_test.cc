@@ -1,3 +1,4 @@
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -181,6 +182,20 @@ TEST(MdbsEndToEndSingle, LocalOnlyWorkloadNeedsNoGtm) {
   EXPECT_GT(report.local_committed, 0);
   EXPECT_TRUE(system.CheckLocallySerializable().ok());
   EXPECT_TRUE(system.CheckGloballySerializable().ok());
+}
+
+// glibc serves requests of up to 1032 bytes from its per-thread cache
+// (tcache). Every run allocates one Mdbs, and when new inline state first
+// pushed it past that size (1216 bytes, the oracle verdicts held inline),
+// perfbench setup_s rose 8%, 7% and 17% on local-heavy, gtm-contention and
+// durable-chaos; behind a pointer it was level again (CHANGES.md). New
+// Mdbs state goes behind a pointer.
+TEST(MdbsLayoutTest, FitsGlibcTcache) {
+#if defined(__GLIBC__) && defined(__LP64__)
+  EXPECT_LE(sizeof(Mdbs), 1032u);
+#else
+  GTEST_SKIP() << "the 1032-byte tcache limit is glibc's on LP64";
+#endif
 }
 
 // Local clients stop only when the global work is finished, so a run with

@@ -216,17 +216,20 @@ TEST(MvsgCheckerTest, DetectsInconsistentReadsFrom) {
   // also reads T2's version of y written BEFORE T2... construct a cycle:
   // T3 reads x from T1 (so T3 -> T2 via next-version rule) and T2 -> T3
   // via reads-from on y.
-  recorder.RecordBegin(kSite, kT1, GlobalTxnId());
-  recorder.RecordBegin(kSite, kT2, GlobalTxnId());
-  recorder.RecordBegin(kSite, kT3, GlobalTxnId());
-  recorder.RecordOp(kSite, kT1, DataOp::Write(kX, 1), 0);
-  recorder.RecordOp(kSite, kT2, DataOp::Write(kX, 2), 1);
-  recorder.RecordOp(kSite, kT2, DataOp::Write(kY, 2), 2);
-  recorder.RecordOp(kSite, kT3, DataOp::Read(kX), 3, kT1);  // Old version.
-  recorder.RecordOp(kSite, kT3, DataOp::Read(kY), 4, kT2);  // New version.
-  recorder.RecordFinish(kT1, TxnOutcome::kCommitted, 10);
-  recorder.RecordFinish(kT2, TxnOutcome::kCommitted, 20);
-  recorder.RecordFinish(kT3, TxnOutcome::kCommitted, 15);
+  const sched::TxnOrdinal t1 =
+      recorder.RecordBegin(kSite, kT1, GlobalTxnId());
+  const sched::TxnOrdinal t2 =
+      recorder.RecordBegin(kSite, kT2, GlobalTxnId());
+  const sched::TxnOrdinal t3 =
+      recorder.RecordBegin(kSite, kT3, GlobalTxnId());
+  recorder.RecordOp(t1, DataOp::Write(kX, 1), 0);
+  recorder.RecordOp(t2, DataOp::Write(kX, 2), 1);
+  recorder.RecordOp(t2, DataOp::Write(kY, 2), 2);
+  recorder.RecordOp(t3, DataOp::Read(kX), 3, kT1);  // Old version.
+  recorder.RecordOp(t3, DataOp::Read(kY), 4, kT2);  // New version.
+  recorder.RecordFinish(t1, TxnOutcome::kCommitted, 10);
+  recorder.RecordFinish(t2, TxnOutcome::kCommitted, 20);
+  recorder.RecordFinish(t3, TxnOutcome::kCommitted, 15);
   // MVSG: T1 -> T2 (version order), T3 -> T2 (read old x before T2's
   // version), T2 -> T3 (reads-from y): cycle T2 -> T3 -> T2.
   EXPECT_FALSE(sched::CheckMultiversionSerializability(recorder, kSite)
@@ -236,17 +239,20 @@ TEST(MvsgCheckerTest, DetectsInconsistentReadsFrom) {
 TEST(MvsgCheckerTest, ConsistentSnapshotPasses) {
   sched::ScheduleRecorder recorder;
   const SiteId kSite{0};
-  recorder.RecordBegin(kSite, kT1, GlobalTxnId());
-  recorder.RecordBegin(kSite, kT2, GlobalTxnId());
-  recorder.RecordBegin(kSite, kT3, GlobalTxnId());
-  recorder.RecordOp(kSite, kT1, DataOp::Write(kX, 1), 0);
-  recorder.RecordOp(kSite, kT2, DataOp::Write(kX, 2), 1);
-  recorder.RecordOp(kSite, kT2, DataOp::Write(kY, 2), 2);
-  recorder.RecordOp(kSite, kT3, DataOp::Read(kX), 3, kT1);
-  recorder.RecordOp(kSite, kT3, DataOp::Read(kY), 4, TxnId());  // Initial.
-  recorder.RecordFinish(kT1, TxnOutcome::kCommitted, 10);
-  recorder.RecordFinish(kT2, TxnOutcome::kCommitted, 20);
-  recorder.RecordFinish(kT3, TxnOutcome::kCommitted, 15);
+  const sched::TxnOrdinal t1 =
+      recorder.RecordBegin(kSite, kT1, GlobalTxnId());
+  const sched::TxnOrdinal t2 =
+      recorder.RecordBegin(kSite, kT2, GlobalTxnId());
+  const sched::TxnOrdinal t3 =
+      recorder.RecordBegin(kSite, kT3, GlobalTxnId());
+  recorder.RecordOp(t1, DataOp::Write(kX, 1), 0);
+  recorder.RecordOp(t2, DataOp::Write(kX, 2), 1);
+  recorder.RecordOp(t2, DataOp::Write(kY, 2), 2);
+  recorder.RecordOp(t3, DataOp::Read(kX), 3, kT1);
+  recorder.RecordOp(t3, DataOp::Read(kY), 4, TxnId());  // Initial.
+  recorder.RecordFinish(t1, TxnOutcome::kCommitted, 10);
+  recorder.RecordFinish(t2, TxnOutcome::kCommitted, 20);
+  recorder.RecordFinish(t3, TxnOutcome::kCommitted, 15);
   EXPECT_TRUE(sched::CheckMultiversionSerializability(recorder, kSite)
                   .serializable);
 }

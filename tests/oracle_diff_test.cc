@@ -6,6 +6,9 @@
 // oracle's reduced edges, all version pairs instead of version chains, and
 // a transitive closure instead of a DFS. Verdicts must agree, and every
 // witness cycle the oracle returns must be a cycle of the reference graph.
+// A second battery draws ids from both of the MDBS's counters and names
+// versions whose writer never began; fixed schedules pin edge cases and the
+// exact SerializabilityResult strings.
 
 #include <algorithm>
 #include <map>
@@ -39,30 +42,42 @@ struct Scenario {
 // Random schedules
 // --------------------------------------------------------------------------
 
+/// First local transaction id of an MDBS run (Mdbs::kLocalTxnIdBase).
+constexpr int64_t kLocalTxnIdBase = 1'000'000'000;
+
 class ScheduleBuilder {
  public:
   ScheduleBuilder(ScheduleRecorder* recorder, const Scenario& scenario)
       : recorder_(recorder), scenario_(scenario) {}
 
+  /// Begins a transaction with the next id: from one counter, or with
+  /// `mixed_ids` as the MDBS numbers them (subtransactions from 0, local
+  /// transactions from kLocalTxnIdBase).
   TxnId Begin(SiteId site, GlobalTxnId global = GlobalTxnId()) {
-    TxnId txn(next_txn_++);
-    recorder_->RecordBegin(site, txn, global);
-    site_of_[txn] = site;
+    if (mixed_ids_) {
+      TxnId txn = global.valid() ? TxnId(next_sub_++) : TxnId(next_local_++);
+      return BeginAs(txn, site, global);
+    }
+    return BeginAs(TxnId(next_txn_++), site, global);
+  }
+  TxnId BeginAs(TxnId txn, SiteId site, GlobalTxnId global = GlobalTxnId()) {
+    begun_[txn] = {site, recorder_->RecordBegin(site, txn, global)};
     return txn;
   }
+  void set_mixed_ids(bool mixed) { mixed_ids_ = mixed; }
   void Read(TxnId txn, int64_t item, TxnId read_from = TxnId()) {
-    recorder_->RecordOp(site_of_.at(txn), txn, DataOp::Read(DataItemId(item)),
+    recorder_->RecordOp(begun_.at(txn).ordinal, DataOp::Read(DataItemId(item)),
                         0, read_from);
   }
   void Write(TxnId txn, int64_t item) {
-    recorder_->RecordOp(site_of_.at(txn), txn,
+    recorder_->RecordOp(begun_.at(txn).ordinal,
                         DataOp::Write(DataItemId(item), 1), 0);
-    writers_[{site_of_.at(txn).value(), item}].push_back(txn);
+    writers_[{begun_.at(txn).site.value(), item}].push_back(txn);
   }
   /// Finishes `txn`; keyed and multiversion sites give it `key`.
   void Finish(TxnId txn, TxnOutcome outcome, int64_t key) {
-    SiteKind kind = scenario_.kinds[site_of_.at(txn).value()];
-    recorder_->RecordFinish(txn, outcome,
+    SiteKind kind = scenario_.kinds[begun_.at(txn).site.value()];
+    recorder_->RecordFinish(begun_.at(txn).ordinal, outcome,
                             kind == SiteKind::kKeyless
                                 ? std::nullopt
                                 : std::optional<int64_t>(key));
@@ -76,7 +91,14 @@ class ScheduleBuilder {
   ScheduleRecorder* recorder_;
   const Scenario& scenario_;
   int64_t next_txn_ = 1;
-  std::map<TxnId, SiteId> site_of_;
+  bool mixed_ids_ = false;
+  int64_t next_sub_ = 0;
+  int64_t next_local_ = kLocalTxnIdBase;
+  struct Begun {
+    SiteId site;
+    TxnOrdinal ordinal;
+  };
+  std::map<TxnId, Begun> begun_;
   std::map<std::pair<int64_t, int64_t>, std::vector<TxnId>> writers_;
 };
 
@@ -150,9 +172,23 @@ Scenario MakeScenario(Rng* rng) {
   return scenario;
 }
 
+/// Variations of the random schedules; the default draws the original
+/// battery's schedules.
+struct GenOptions {
+  /// Ids from both MDBS counters (see ScheduleBuilder::Begin).
+  bool mixed_ids = false;
+  /// Versioned reads may also name a writer that never began.
+  bool phantom_writers = false;
+};
+
+/// A transaction id no generated schedule begins.
+constexpr TxnId kPhantomWriter(int64_t{1} << 50);
+
 /// Records one random schedule under `scenario`.
-void Generate(Rng* rng, const Scenario& scenario, ScheduleRecorder* recorder) {
+void Generate(Rng* rng, const Scenario& scenario, ScheduleRecorder* recorder,
+              const GenOptions& options = {}) {
   ScheduleBuilder b(recorder, scenario);
+  b.set_mixed_ids(options.mixed_ids);
   if (rng->NextBernoulli(0.3)) PlantCycle(rng, scenario, &b);
 
   struct Pending {
@@ -202,10 +238,12 @@ void Generate(Rng* rng, const Scenario& scenario, ScheduleRecorder* recorder) {
       TxnId read_from;
       if (scenario.kinds[p.site.value()] == SiteKind::kMultiversion) {
         // Any earlier version: the initial one, or any writer's (own,
-        // committed, aborted or still running).
+        // committed, aborted or still running), or a phantom's.
         const std::vector<TxnId>& writers = b.Writers(p.site, item);
-        size_t choice = rng->NextBelow(writers.size() + 1);
+        size_t choice = rng->NextBelow(writers.size() + 1 +
+                                       (options.phantom_writers ? 1 : 0));
         if (choice < writers.size()) read_from = writers[choice];
+        if (choice == writers.size() + 1) read_from = kPhantomWriter;
       }
       b.Read(p.txn, item, read_from);
       continue;
@@ -395,79 +433,236 @@ void ExpectWitnessIn(const std::optional<std::vector<int64_t>>& cycle,
 // The battery
 // --------------------------------------------------------------------------
 
-TEST(OracleDifferentialTest, RandomSchedulesAgreeWithBruteForce) {
-  constexpr int kSchedules = 400;
+/// How often each check of the battery came out negative.
+struct BatteryCounts {
   int local_cycles = 0;
   int global_cycles = 0;
   int key_violations = 0;
   int strictness_violations = 0;
+};
+
+/// Runs every check on one recorded schedule and compares it with the
+/// brute-force reference.
+void CheckAgainstBruteForce(const ScheduleRecorder& recorder,
+                            const Scenario& scenario, BatteryCounts* counts) {
+  EdgeSet global_reference;
+  for (size_t s = 0; s < scenario.kinds.size(); ++s) {
+    SiteId site(static_cast<int64_t>(s));
+    const bool mv = scenario.kinds[s] == SiteKind::kMultiversion;
+    EdgeSet conflicts = AllPairsConflicts(recorder, site);
+    EdgeSet local = mv ? AllPairsMvsg(recorder, site) : conflicts;
+
+    SerializabilityResult result =
+        mv ? CheckMultiversionSerializability(recorder, site)
+           : CheckLocalSerializability(recorder, site);
+    bool cyclic = HasCycleByClosure(local);
+    ASSERT_EQ(result.serializable, !cyclic) << "site " << s;
+    if (cyclic) {
+      ++counts->local_cycles;
+      DirectedGraph built =
+          mv ? BuildMultiversionSerializationGraph(recorder, site)
+             : BuildLocalConflictGraph(recorder, site);
+      ExpectWitnessIn(result.cycle, local, &built);
+    }
+
+    bool monotone = KeysMonotone(recorder, conflicts);
+    EXPECT_EQ(CheckSerializationKeyProperty(recorder, site).ok(), monotone)
+        << "site " << s;
+    counts->key_violations += !monotone;
+
+    bool strict = StrictByAllWriters(recorder, site, mv);
+    EXPECT_EQ(CheckStrictness(recorder, site, mv).ok(), strict)
+        << "site " << s;
+    counts->strictness_violations += !strict;
+
+    for (const Edge& edge : ToGlobalKeys(recorder, local)) {
+      global_reference.insert(edge);
+    }
+  }
+
+  SerializabilityResult global =
+      scenario.mv_sites.empty()
+          ? CheckGlobalSerializability(recorder)
+          : CheckGlobalSerializabilityMixed(recorder, scenario.mv_sites);
+  bool cyclic = HasCycleByClosure(global_reference);
+  ASSERT_EQ(global.serializable, !cyclic);
+  if (cyclic) {
+    ++counts->global_cycles;
+    std::optional<DirectedGraph> built;
+    if (scenario.mv_sites.empty()) {
+      built = BuildGlobalConflictGraph(recorder);
+    }
+    ExpectWitnessIn(global.cycle, global_reference,
+                    built.has_value() ? &*built : nullptr);
+  }
+}
+
+/// Checks `schedules` random schedules drawn with `options`; the battery
+/// must exercise both verdicts of every check.
+void RunBattery(int schedules, const GenOptions& options) {
+  BatteryCounts counts;
   int mv_schedules = 0;
-  for (int seed = 1; seed <= kSchedules; ++seed) {
+  for (int seed = 1; seed <= schedules; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(static_cast<uint64_t>(seed));
     Scenario scenario = MakeScenario(&rng);
     ScheduleRecorder recorder;
-    Generate(&rng, scenario, &recorder);
+    Generate(&rng, scenario, &recorder, options);
     mv_schedules += !scenario.mv_sites.empty();
-
-    EdgeSet global_reference;
-    for (size_t s = 0; s < scenario.kinds.size(); ++s) {
-      SiteId site(static_cast<int64_t>(s));
-      const bool mv = scenario.kinds[s] == SiteKind::kMultiversion;
-      EdgeSet conflicts = AllPairsConflicts(recorder, site);
-      EdgeSet local = mv ? AllPairsMvsg(recorder, site) : conflicts;
-
-      SerializabilityResult result =
-          mv ? CheckMultiversionSerializability(recorder, site)
-             : CheckLocalSerializability(recorder, site);
-      bool cyclic = HasCycleByClosure(local);
-      ASSERT_EQ(result.serializable, !cyclic) << "site " << s;
-      if (cyclic) {
-        ++local_cycles;
-        DirectedGraph built =
-            mv ? BuildMultiversionSerializationGraph(recorder, site)
-               : BuildLocalConflictGraph(recorder, site);
-        ExpectWitnessIn(result.cycle, local, &built);
-      }
-
-      bool monotone = KeysMonotone(recorder, conflicts);
-      EXPECT_EQ(CheckSerializationKeyProperty(recorder, site).ok(), monotone)
-          << "site " << s;
-      key_violations += !monotone;
-
-      bool strict = StrictByAllWriters(recorder, site, mv);
-      EXPECT_EQ(CheckStrictness(recorder, site, mv).ok(), strict)
-          << "site " << s;
-      strictness_violations += !strict;
-
-      for (const Edge& edge : ToGlobalKeys(recorder, local)) {
-        global_reference.insert(edge);
-      }
-    }
-
-    SerializabilityResult global =
-        scenario.mv_sites.empty()
-            ? CheckGlobalSerializability(recorder)
-            : CheckGlobalSerializabilityMixed(recorder, scenario.mv_sites);
-    bool cyclic = HasCycleByClosure(global_reference);
-    ASSERT_EQ(global.serializable, !cyclic);
-    if (cyclic) {
-      ++global_cycles;
-      std::optional<DirectedGraph> built;
-      if (scenario.mv_sites.empty()) {
-        built = BuildGlobalConflictGraph(recorder);
-      }
-      ExpectWitnessIn(global.cycle, global_reference,
-                      built.has_value() ? &*built : nullptr);
-    }
+    CheckAgainstBruteForce(recorder, scenario, &counts);
   }
-  // The battery must exercise both verdicts of every check.
-  EXPECT_GT(local_cycles, kSchedules / 20);
-  EXPECT_GT(global_cycles, kSchedules / 20);
-  EXPECT_LT(global_cycles, kSchedules * 9 / 10);
-  EXPECT_GT(key_violations, kSchedules / 20);
-  EXPECT_GT(strictness_violations, kSchedules / 20);
-  EXPECT_GT(mv_schedules, kSchedules / 4);
+  EXPECT_GT(counts.local_cycles, schedules / 20);
+  EXPECT_GT(counts.global_cycles, schedules / 20);
+  EXPECT_LT(counts.global_cycles, schedules * 9 / 10);
+  EXPECT_GT(counts.key_violations, schedules / 20);
+  EXPECT_GT(counts.strictness_violations, schedules / 20);
+  EXPECT_GT(mv_schedules, schedules / 4);
+}
+
+TEST(OracleDifferentialTest, RandomSchedulesAgreeWithBruteForce) {
+  RunBattery(400, GenOptions{});
+}
+
+TEST(OracleDifferentialTest, MixedIdsAndPhantomWritersAgreeWithBruteForce) {
+  RunBattery(400, GenOptions{.mixed_ids = true, .phantom_writers = true});
+}
+
+/// Site 0 multiversion, site 1 keyed single-version: versioned reads of an
+/// aborted writer, a writer that never began and the reader's own write,
+/// and transactions that began, operated and never finished.
+TEST(OracleDifferentialTest, EdgeCaseSchedulesAgreeWithBruteForce) {
+  Scenario scenario{{SiteKind::kMultiversion, SiteKind::kKeyed},
+                    {SiteId(0)}};
+  ScheduleRecorder recorder;
+  ScheduleBuilder b(&recorder, scenario);
+  b.set_mixed_ids(true);
+  const SiteId mv(0);
+  const SiteId sv(1);
+  TxnId aborted = b.Begin(mv, GlobalTxnId(1));
+  TxnId reader = b.Begin(mv);
+  TxnId own = b.Begin(mv, GlobalTxnId(2));
+  TxnId open_mv = b.Begin(mv);
+  TxnId sv_g1 = b.Begin(sv, GlobalTxnId(1));
+  TxnId sv_g2 = b.Begin(sv, GlobalTxnId(2));
+  TxnId open_sv = b.Begin(sv);
+  b.Write(aborted, 0);
+  b.Write(own, 1);
+  b.Write(open_mv, 2);
+  b.Read(reader, 0, aborted);          // Writer aborted.
+  b.Read(reader, 3, kPhantomWriter);   // Writer never began.
+  b.Read(own, 1, own);                 // The reader's own version.
+  b.Read(reader, 2, open_mv);          // Writer never finished.
+  b.Write(open_sv, 5);                 // Never finishes.
+  b.Write(sv_g2, 4);
+  b.Write(sv_g1, 4);                   // G2 -> G1 at the keyed site.
+  b.Read(sv_g1, 5);                    // Dirty read of open_sv's write.
+  b.Finish(aborted, TxnOutcome::kAborted, 0);
+  b.Finish(own, TxnOutcome::kCommitted, 3);
+  b.Finish(reader, TxnOutcome::kCommitted, 4);
+  b.Finish(sv_g2, TxnOutcome::kCommitted, 1);
+  b.Finish(sv_g1, TxnOutcome::kCommitted, 2);
+
+  BatteryCounts counts;
+  CheckAgainstBruteForce(recorder, scenario, &counts);
+  // Strict at neither site (reads of unfinished writers), cycle-free.
+  EXPECT_EQ(counts.strictness_violations, 2);
+  EXPECT_EQ(counts.local_cycles, 0);
+  EXPECT_EQ(counts.global_cycles, 0);
+  EXPECT_FALSE(CheckStrictness(recorder, mv, true).ok());
+  EXPECT_FALSE(CheckStrictness(recorder, sv, false).ok());
+}
+
+/// A local cycle T0 -> L0 -> T1 -> T0 at one site, among transactions of
+/// both counters, beside an aborted, an unfinished and an acyclic one. A
+/// second cycle A <-> B begins first but accesses last, so the witness
+/// shows which one the search reaches first.
+void RecordCyclicLocalSchedule(ScheduleRecorder* recorder) {
+  static const Scenario scenario{{SiteKind::kKeyed}, {}};
+  ScheduleBuilder b(recorder, scenario);
+  b.set_mixed_ids(true);
+  const SiteId s(0);
+  TxnId a = b.Begin(s);
+  TxnId bb = b.Begin(s);
+  TxnId t0 = b.Begin(s, GlobalTxnId(1));
+  TxnId t1 = b.Begin(s, GlobalTxnId(2));
+  TxnId l0 = b.Begin(s);
+  TxnId l1 = b.Begin(s);
+  TxnId aborted = b.Begin(s);
+  TxnId open = b.Begin(s, GlobalTxnId(3));
+  b.Write(t0, 0);
+  b.Read(l0, 0);
+  b.Write(aborted, 1);
+  b.Write(l0, 1);
+  b.Read(t1, 1);
+  b.Read(l1, 0);
+  b.Write(t1, 2);
+  b.Read(t0, 2);
+  b.Write(open, 3);
+  b.Write(a, 8);
+  b.Read(bb, 8);
+  b.Write(bb, 9);
+  b.Read(a, 9);
+  b.Finish(a, TxnOutcome::kCommitted, 5);
+  b.Finish(bb, TxnOutcome::kCommitted, 6);
+  b.Finish(aborted, TxnOutcome::kAborted, 0);
+  b.Finish(t0, TxnOutcome::kCommitted, 1);
+  b.Finish(l0, TxnOutcome::kCommitted, 2);
+  b.Finish(t1, TxnOutcome::kCommitted, 3);
+  b.Finish(l1, TxnOutcome::kCommitted, 4);
+}
+
+/// G1 -> L -> G2 at site 0 through a local transaction, G2 -> G1 at site
+/// 1, and a third global G3 after both at site 1. A second cycle
+/// G4 <-> G5 begins first but accesses last.
+void RecordCyclicGlobalSchedule(ScheduleRecorder* recorder) {
+  static const Scenario scenario{{SiteKind::kKeyed, SiteKind::kKeyed}, {}};
+  ScheduleBuilder b(recorder, scenario);
+  b.set_mixed_ids(true);
+  const SiteId s0(0);
+  const SiteId s1(1);
+  TxnId g4 = b.Begin(s1, GlobalTxnId(4));
+  TxnId g5 = b.Begin(s1, GlobalTxnId(5));
+  TxnId g1_s0 = b.Begin(s0, GlobalTxnId(1));
+  TxnId local = b.Begin(s0);
+  TxnId g2_s0 = b.Begin(s0, GlobalTxnId(2));
+  TxnId g2_s1 = b.Begin(s1, GlobalTxnId(2));
+  TxnId g1_s1 = b.Begin(s1, GlobalTxnId(1));
+  TxnId g3_s1 = b.Begin(s1, GlobalTxnId(3));
+  b.Write(g1_s0, 0);
+  b.Read(local, 0);
+  b.Write(local, 1);
+  b.Read(g2_s0, 1);
+  b.Write(g2_s1, 7);
+  b.Read(g1_s1, 7);
+  b.Write(g3_s1, 7);
+  b.Write(g4, 8);
+  b.Read(g5, 8);
+  b.Write(g5, 9);
+  b.Read(g4, 9);
+  b.Finish(g4, TxnOutcome::kCommitted, 4);
+  b.Finish(g5, TxnOutcome::kCommitted, 5);
+  b.Finish(g1_s0, TxnOutcome::kCommitted, 1);
+  b.Finish(local, TxnOutcome::kCommitted, 2);
+  b.Finish(g2_s0, TxnOutcome::kCommitted, 3);
+  b.Finish(g2_s1, TxnOutcome::kCommitted, 1);
+  b.Finish(g1_s1, TxnOutcome::kCommitted, 2);
+  b.Finish(g3_s1, TxnOutcome::kCommitted, 3);
+}
+
+// The strings below were recorded before the oracle numbered transactions
+// densely; verdict, sizes and witness must not move.
+TEST(OracleDifferentialTest, CyclicLocalScheduleResultIsPinned) {
+  ScheduleRecorder recorder;
+  RecordCyclicLocalSchedule(&recorder);
+  EXPECT_EQ(CheckLocalSerializability(recorder, SiteId(0)).ToString(),
+            "NOT serializable (nodes=6 edges=6 cycle=[0 1000000002 1 0])");
+}
+
+TEST(OracleDifferentialTest, CyclicGlobalScheduleResultIsPinned) {
+  ScheduleRecorder recorder;
+  RecordCyclicGlobalSchedule(&recorder);
+  EXPECT_EQ(CheckGlobalSerializability(recorder).ToString(),
+            "NOT serializable (nodes=6 edges=7 cycle=[2 2000000001 4 2])");
 }
 
 }  // namespace

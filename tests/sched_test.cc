@@ -1,3 +1,6 @@
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sched/graph.h"
@@ -96,24 +99,47 @@ TEST(DirectedGraphTest, TopologicalOrderRespectsEdges) {
   EXPECT_LT(pos(1), pos(2));
 }
 
+TEST(DirectedGraphTest, AppendedNodesAnswerKeyedCalls) {
+  DirectedGraph g;
+  uint32_t a = g.AppendNode(70);
+  uint32_t b = g.AppendNode(-5);
+  EXPECT_EQ(a, 0u);
+  EXPECT_EQ(b, 1u);
+  g.AddIndexedEdge(a, b);
+  EXPECT_TRUE(g.HasNode(70));
+  EXPECT_TRUE(g.HasEdge(70, -5));
+  EXPECT_FALSE(g.HasEdge(-5, 70));
+  // Keyed additions find the appended keys instead of adding them again.
+  g.AddEdge(-5, 70);
+  g.AddEdge(-5, 9);
+  EXPECT_EQ(g.NodeCount(), 3u);
+  EXPECT_EQ(g.AppendNode(11), 3u);
+  EXPECT_TRUE(g.HasNode(11));
+  EXPECT_EQ(g.FindCycle(), (std::vector<int64_t>{70, -5, 70}));
+}
+
 // --------------------------------------------------------------------------
 // ScheduleRecorder
 // --------------------------------------------------------------------------
 
 struct RecorderFixture : public ::testing::Test {
   void Begin(TxnId txn, SiteId site, GlobalTxnId global = GlobalTxnId()) {
-    recorder.RecordBegin(site, txn, global);
+    ordinal[txn] = recorder.RecordBegin(site, txn, global);
   }
+  /// Records `op` of `txn`, which began at `site`.
   void Op(TxnId txn, SiteId site, const DataOp& op) {
-    recorder.RecordOp(site, txn, op, /*time=*/0);
+    ASSERT_EQ(recorder.FindTxn(txn)->site, site);
+    recorder.RecordOp(ordinal.at(txn), op, /*time=*/0);
   }
   void Commit(TxnId txn, std::optional<int64_t> key = std::nullopt) {
-    recorder.RecordFinish(txn, TxnOutcome::kCommitted, key);
+    recorder.RecordFinish(ordinal.at(txn), TxnOutcome::kCommitted, key);
   }
   void Abort(TxnId txn) {
-    recorder.RecordFinish(txn, TxnOutcome::kAborted, std::nullopt);
+    recorder.RecordFinish(ordinal.at(txn), TxnOutcome::kAborted,
+                          std::nullopt);
   }
   ScheduleRecorder recorder;
+  std::map<TxnId, TxnOrdinal> ordinal;
 };
 
 TEST_F(RecorderFixture, CountsOutcomes) {

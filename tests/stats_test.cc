@@ -18,15 +18,14 @@ TEST(ScheduleStatsTest, EmptyRecorder) {
 
 TEST(ScheduleStatsTest, AggregatesPerSite) {
   ScheduleRecorder recorder;
-  TxnId local{1}, sub_a{2}, sub_b{3};
   GlobalTxnId global{10};
-  recorder.RecordBegin(kS0, local, GlobalTxnId());
-  recorder.RecordBegin(kS0, sub_a, global);
-  recorder.RecordBegin(kS1, sub_b, global);
-  recorder.RecordOp(kS0, local, DataOp::Read(DataItemId(1)), 0);
-  recorder.RecordOp(kS0, local, DataOp::Write(DataItemId(1), 5), 1);
-  recorder.RecordOp(kS0, sub_a, DataOp::Write(DataItemId(2), 5), 2);
-  recorder.RecordOp(kS1, sub_b, DataOp::Read(DataItemId(3)), 3);
+  TxnOrdinal local = recorder.RecordBegin(kS0, TxnId(1), GlobalTxnId());
+  TxnOrdinal sub_a = recorder.RecordBegin(kS0, TxnId(2), global);
+  TxnOrdinal sub_b = recorder.RecordBegin(kS1, TxnId(3), global);
+  recorder.RecordOp(local, DataOp::Read(DataItemId(1)), 0);
+  recorder.RecordOp(local, DataOp::Write(DataItemId(1), 5), 1);
+  recorder.RecordOp(sub_a, DataOp::Write(DataItemId(2), 5), 2);
+  recorder.RecordOp(sub_b, DataOp::Read(DataItemId(3)), 3);
   recorder.RecordFinish(local, TxnOutcome::kCommitted, std::nullopt);
   recorder.RecordFinish(sub_a, TxnOutcome::kCommitted, std::nullopt);
   recorder.RecordFinish(sub_b, TxnOutcome::kAborted, std::nullopt);
@@ -48,9 +47,8 @@ TEST(ScheduleStatsTest, AggregatesPerSite) {
 
 TEST(ScheduleStatsTest, ToStringListsSites) {
   ScheduleRecorder recorder;
-  TxnId txn{1};
-  recorder.RecordBegin(kS0, txn, GlobalTxnId());
-  recorder.RecordOp(kS0, txn, DataOp::Read(DataItemId(1)), 0);
+  TxnOrdinal txn = recorder.RecordBegin(kS0, TxnId(1), GlobalTxnId());
+  recorder.RecordOp(txn, DataOp::Read(DataItemId(1)), 0);
   recorder.RecordFinish(txn, TxnOutcome::kCommitted, std::nullopt);
   std::string text = ComputeScheduleStats(recorder).ToString();
   EXPECT_NE(text.find("s0"), std::string::npos);
@@ -59,10 +57,9 @@ TEST(ScheduleStatsTest, ToStringListsSites) {
 
 TEST(ScheduleDumpTest, TruncatesAndFormats) {
   ScheduleRecorder recorder;
-  TxnId txn{1};
-  recorder.RecordBegin(kS0, txn, GlobalTxnId());
+  TxnOrdinal txn = recorder.RecordBegin(kS0, TxnId(1), GlobalTxnId());
   for (int i = 0; i < 10; ++i) {
-    recorder.RecordOp(kS0, txn, DataOp::Read(DataItemId(i)), i);
+    recorder.RecordOp(txn, DataOp::Read(DataItemId(i)), i);
   }
   std::string dump = recorder.Dump(/*limit=*/3);
   EXPECT_NE(dump.find("#0"), std::string::npos);
@@ -72,13 +69,12 @@ TEST(ScheduleDumpTest, TruncatesAndFormats) {
 
 TEST(ScheduleDumpTest, FinishSeqOrdersAgainstOps) {
   ScheduleRecorder recorder;
-  TxnId t1{1}, t2{2};
-  recorder.RecordBegin(kS0, t1, GlobalTxnId());
-  recorder.RecordBegin(kS0, t2, GlobalTxnId());
-  recorder.RecordOp(kS0, t1, DataOp::Write(DataItemId(1), 5), 0);
+  TxnOrdinal t1 = recorder.RecordBegin(kS0, TxnId(1), GlobalTxnId());
+  TxnOrdinal t2 = recorder.RecordBegin(kS0, TxnId(2), GlobalTxnId());
+  recorder.RecordOp(t1, DataOp::Write(DataItemId(1), 5), 0);
   recorder.RecordFinish(t1, TxnOutcome::kCommitted, std::nullopt);
-  recorder.RecordOp(kS0, t2, DataOp::Read(DataItemId(1)), 1);
-  const TxnRecord* r1 = recorder.FindTxn(t1);
+  recorder.RecordOp(t2, DataOp::Read(DataItemId(1)), 1);
+  const TxnRecord* r1 = recorder.FindTxn(TxnId(1));
   ASSERT_NE(r1, nullptr);
   EXPECT_GT(r1->finish_seq, recorder.ops()[0].seq);
   EXPECT_LT(r1->finish_seq, recorder.ops()[1].seq);

@@ -21,6 +21,17 @@ const SiteId kA{0};
 const SiteId kB{1};
 const SiteId kC{2};
 
+/// Tsgd's dependency calls take slots and site indices; these look up ids.
+void AddDep(Tsgd* tsgd, SiteId site, GlobalTxnId from, GlobalTxnId to) {
+  tsgd->AddDependency(tsgd->SiteIndexOf(site), tsgd->SlotOf(from),
+                      tsgd->SlotOf(to));
+}
+bool HasDep(const Tsgd& tsgd, SiteId site, GlobalTxnId from,
+            GlobalTxnId to) {
+  return tsgd.HasDependency(tsgd.SiteIndexOf(site), tsgd.SlotOf(from),
+                            tsgd.SlotOf(to));
+}
+
 // --------------------------------------------------------------------------
 // TransactionSiteGraph (Scheme 1)
 // --------------------------------------------------------------------------
@@ -100,9 +111,9 @@ TEST(TsgdTest, DependencyBookkeeping) {
   Tsgd tsgd;
   tsgd.InsertTxn(kG1, {kA});
   tsgd.InsertTxn(kG2, {kA});
-  tsgd.AddDependency(kA, kG1, kG2);
-  EXPECT_TRUE(tsgd.HasDependency(kA, kG1, kG2));
-  EXPECT_FALSE(tsgd.HasDependency(kA, kG2, kG1));
+  AddDep(&tsgd, kA, kG1, kG2);
+  EXPECT_TRUE(HasDep(tsgd, kA, kG1, kG2));
+  EXPECT_FALSE(HasDep(tsgd, kA, kG2, kG1));
   EXPECT_TRUE(tsgd.HasDependenciesInto(kG2, kA));
   EXPECT_FALSE(tsgd.HasDependenciesInto(kG1, kA));
   ASSERT_EQ(tsgd.DependenciesInto(kG2, kA).size(), 1u);
@@ -115,8 +126,8 @@ TEST(TsgdTest, RemoveTxnDropsDependenciesBothDirections) {
   tsgd.InsertTxn(kG1, {kA});
   tsgd.InsertTxn(kG2, {kA});
   tsgd.InsertTxn(kG3, {kA});
-  tsgd.AddDependency(kA, kG1, kG2);
-  tsgd.AddDependency(kA, kG2, kG3);
+  AddDep(&tsgd, kA, kG1, kG2);
+  AddDep(&tsgd, kA, kG2, kG3);
   tsgd.RemoveTxn(kG2);
   EXPECT_EQ(tsgd.DependencyCount(), 0u);
   EXPECT_FALSE(tsgd.HasDependenciesInto(kG3, kA));
@@ -138,7 +149,7 @@ TEST(TsgdTest, OneDependencyBreaksOneOrientationOnly) {
   // Committing G1 before G2 at A blocks the orientation G2 -> A -> G1 but
   // the cycle remains realizable the other way (G1 before G2 at A, G2
   // before G1 at B).
-  tsgd.AddDependency(kA, kG1, kG2);
+  AddDep(&tsgd, kA, kG1, kG2);
   EXPECT_TRUE(tsgd.HasCycleInvolving(kG1));
 }
 
@@ -148,8 +159,8 @@ TEST(TsgdTest, ConsistentDependenciesEliminateCycle) {
   tsgd.InsertTxn(kG2, {kA, kB});
   // G1 before G2 at both junctions: only a consistent serialization
   // remains; no TSGD cycle.
-  tsgd.AddDependency(kA, kG1, kG2);
-  tsgd.AddDependency(kB, kG1, kG2);
+  AddDep(&tsgd, kA, kG1, kG2);
+  AddDep(&tsgd, kB, kG1, kG2);
   EXPECT_FALSE(tsgd.HasCycleInvolving(kG1));
   EXPECT_FALSE(tsgd.HasCycleInvolving(kG2));
 }
@@ -163,8 +174,8 @@ TEST(TsgdTest, InconsistentCrossSiteDependenciesRealizeCycle) {
   // dependency (both *support* it). The checker must report it. Scheme 2
   // never reaches this state — Eliminate_Cycles blocks one orientation
   // before the other can be committed.
-  tsgd.AddDependency(kA, kG1, kG2);
-  tsgd.AddDependency(kB, kG2, kG1);
+  AddDep(&tsgd, kA, kG1, kG2);
+  AddDep(&tsgd, kB, kG2, kG1);
   EXPECT_TRUE(tsgd.HasCycleInvolving(kG1));
 }
 
@@ -175,10 +186,10 @@ TEST(TsgdTest, ThreeTxnTriangleCycle) {
   tsgd.InsertTxn(kG3, {kC, kA});
   EXPECT_TRUE(tsgd.HasCycleInvolving(kG1));
   // Break it at one junction per orientation.
-  tsgd.AddDependency(kB, kG1, kG2);
+  AddDep(&tsgd, kB, kG1, kG2);
   EXPECT_TRUE(tsgd.HasCycleInvolving(kG1));  // Reverse orientation remains.
-  tsgd.AddDependency(kC, kG2, kG3);
-  tsgd.AddDependency(kA, kG3, kG1);
+  AddDep(&tsgd, kC, kG2, kG3);
+  AddDep(&tsgd, kA, kG3, kG1);
   // Now the remaining orientation is G1 -> G2 -> G3 consistently; wait —
   // those dependencies orient the triangle consistently, which is exactly
   // a realizable serialization ordering around the cycle... but a TSGD
@@ -211,7 +222,7 @@ TEST(EliminateCyclesTest, TwoTxnCycleBroken) {
   EXPECT_FALSE(delta.empty());
   for (const Dependency& dep : delta) {
     EXPECT_EQ(dep.to, kG2);  // All Δ dependencies point into the new txn.
-    tsgd.AddDependency(dep.site, dep.from, dep.to);
+    AddDep(&tsgd, dep.site, dep.from, dep.to);
   }
   EXPECT_FALSE(tsgd.HasCycleInvolving(kG2));
 }
@@ -222,8 +233,8 @@ TEST(EliminateCyclesTest, RespectsExistingDependencies) {
   tsgd.InsertTxn(kG2, {kA, kB});
   // Both junctions already committed G1 before G2: no cycle remains, so
   // Δ must be empty.
-  tsgd.AddDependency(kA, kG1, kG2);
-  tsgd.AddDependency(kB, kG1, kG2);
+  AddDep(&tsgd, kA, kG1, kG2);
+  AddDep(&tsgd, kB, kG1, kG2);
   EXPECT_TRUE(tsgd.EliminateCycles(kG2, nullptr).empty());
 }
 
@@ -273,7 +284,7 @@ ReferenceWalk RescanningEliminateCycles(const Tsgd& tsgd,
         }
         if (w == v) continue;
         if (w != origin && used.contains({u.value(), w.value()})) continue;
-        if (tsgd.HasDependency(u, v, w) ||
+        if (HasDep(tsgd, u, v, w) ||
             delta_index.contains({u.value(), v.value(), w.value()})) {
           continue;
         }
@@ -353,7 +364,7 @@ TEST(EliminateCyclesTest, ResumingWalkMatchesTheRescanningReference) {
       for (GlobalTxnId a : members) {
         for (GlobalTxnId b : members) {
           if (rank[a] < rank[b] && rng.NextBernoulli(dep_p)) {
-            tsgd.AddDependency(SiteId(s), a, b);
+            AddDep(&tsgd, SiteId(s), a, b);
           }
         }
       }
@@ -411,7 +422,7 @@ TEST(EliminateCyclesTest, ResumingWalkStepsArePinned) {
   reentry.InsertTxn(kG1, {kA, kB, kC});
   reentry.InsertTxn(kG2, {kB, kC});
   reentry.InsertTxn(kG3, {kA, kB});
-  reentry.AddDependency(kB, kG2, kG3);
+  AddDep(&reentry, kB, kG2, kG3);
   steps = 0;
   delta = reentry.EliminateCycles(kG3, &steps);
   ReferenceWalk reference = RescanningEliminateCycles(reentry, kG3);
@@ -454,7 +465,7 @@ TEST(EliminateCyclesTest, PropertyRandomGraphsBecomeAcyclic) {
           at_site.empty() ? 0 : rng.NextBelow(at_site.size() + 1);
       for (size_t i = 0; i < executed; ++i) {
         for (size_t j = i + 1; j < at_site.size(); ++j) {
-          tsgd.AddDependency(SiteId(s), at_site[i], at_site[j]);
+          AddDep(&tsgd, SiteId(s), at_site[i], at_site[j]);
         }
       }
     }
@@ -470,7 +481,7 @@ TEST(EliminateCyclesTest, PropertyRandomGraphsBecomeAcyclic) {
     std::vector<Dependency> delta = tsgd.EliminateCycles(newcomer, nullptr);
     for (const Dependency& dep : delta) {
       EXPECT_EQ(dep.to, newcomer);
-      tsgd.AddDependency(dep.site, dep.from, dep.to);
+      AddDep(&tsgd, dep.site, dep.from, dep.to);
     }
     EXPECT_FALSE(tsgd.HasCycleInvolving(newcomer))
         << "trial " << trial << ": cycle survived Eliminate_Cycles";
